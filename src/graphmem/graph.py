@@ -11,6 +11,7 @@ and refuses further mutation.
 from __future__ import annotations
 
 import json
+import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -130,6 +131,11 @@ class MemoryGraph:
     nodes: list[MemoryNode] = field(default_factory=list)
     memory_bank: list[VisualItem] = field(default_factory=list)
     step: int = 0
+    # linearize's rendered node lines from its last call, keyed by the
+    # pickled record each line was serialized from
+    _node_lines: dict[bytes, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- reads ------------------------------------------------------------
 
@@ -193,6 +199,14 @@ class MemoryGraph:
         Byte-identical across runs for identical graphs, and distinct graphs
         render distinctly (all node and item fields participate; items not
         yet attached to a node show up only in the header's bank count).
+
+        A node whose record is unchanged since the previous call reuses the
+        line rendered then, so only the header and the nodes that changed
+        are serialized again.  Shaping keeps at most top-K items live and
+        eviction is permanent, so most nodes of a deep graph stop changing.
+        The reuse test compares pickled records: pickle writes ``True``,
+        ``1`` and ``1.0`` differently, so equal bytes mean equal values of
+        equal types and hence equal canonical JSON.
         """
         lines = [
             canonical_dumps(
@@ -205,6 +219,7 @@ class MemoryGraph:
                 }
             )
         ]
+        previous, self._node_lines = self._node_lines, {}
         for node in self.nodes:
             record: dict = {
                 "index": node.index,
@@ -222,7 +237,10 @@ class MemoryGraph:
                 record["items"] = [self._item_record(k) for k in node.items]
             else:
                 record["answer"] = node.answer_text
-            lines.append(canonical_dumps(record))
+            key = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+            line = previous.get(key) or canonical_dumps(record)
+            self._node_lines[key] = line
+            lines.append(line)
         return "\n".join(lines) + "\n"
 
     def _item_record(self, ordinal: int) -> dict:

@@ -76,9 +76,13 @@ class StaleAssignment(ProtocolError):
     code = "StaleAssignment"
 
 
+def _half_up_tenths(seconds: float) -> Decimal:
+    return Decimal(repr(float(seconds))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+
+
 def quantize_timestamp(seconds: float) -> float:
     """Quantize to one decimal place, rounding halves up."""
-    return float(Decimal(repr(float(seconds))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return float(_half_up_tenths(seconds))
 
 
 def format_timestamp(seconds: float) -> str:
@@ -86,8 +90,7 @@ def format_timestamp(seconds: float) -> str:
     half-up rounding)."""
     if seconds < 0:
         raise ValueError(f"timestamp must be non-negative, got {seconds!r}")
-    quantized = Decimal(repr(float(seconds))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-    return f"<{quantized} seconds>"
+    return f"<{_half_up_tenths(seconds)} seconds>"
 
 
 @dataclass(frozen=True)
@@ -435,11 +438,10 @@ def render_context(
 @dataclass(frozen=True)
 class RenderedObservation:
     """Observation block shown to the policy on the memorize turn, plus the
-    ids it may echo back and the attachment refs behind them."""
+    ids it may echo back."""
 
     text: str
     offered_ids: tuple[str, ...]
-    attachments: tuple[str, ...]
 
 
 def render_observation(observations: Iterable["Observation"]) -> RenderedObservation:
@@ -449,7 +451,6 @@ def render_observation(observations: Iterable["Observation"]) -> RenderedObserva
     decision's ``information_id`` must echo."""
     lines = ["### Retrieved Multimodal Information"]
     offered: list[str] = []
-    attachments: list[str] = []
     for obs in observations:
         offered.append(obs.id)
         header = f"{obs.id} (source {obs.source_id}, score {obs.score:.6f})"
@@ -461,17 +462,13 @@ def render_observation(observations: Iterable["Observation"]) -> RenderedObserva
             lines.append(f"{header} [{span}]: {obs.content}")
             stamps = ", ".join(format_timestamp(ts) for ts, _ in obs.frames)
             lines.append(f"  frames: {stamps}")
-            attachments.extend(ref for _, ref in obs.frames)
         else:
             lines.append(f"{header}: {obs.content}")
-            if obs.asset_ref:
-                attachments.append(obs.asset_ref)
     if not offered:
         lines.append("(no results)")
     return RenderedObservation(
         text="\n".join(lines) + "\n",
         offered_ids=tuple(offered),
-        attachments=tuple(attachments),
     )
 
 

@@ -44,12 +44,16 @@ def make_search_server(
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError("Content-Length must be non-negative")
                 request = json.loads(self.rfile.read(length).decode("utf-8"))
+                if not isinstance(request, dict):
+                    raise ValueError("body must be a JSON object")
                 query = request["query"]
                 k = int(request.get("k", default_k))
                 if not isinstance(query, str):
                     raise ValueError("query must be a string")
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            except (ValueError, TypeError, KeyError) as exc:
                 self._reply(400, {"error": f"bad request: {exc}"})
                 return
             try:

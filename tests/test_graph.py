@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmem.energy import ItemModality, VisualItem
+from graphmem.energy import EnergyParams, ItemModality, VisualItem, shape_memory
 from graphmem.graph import (
     AlreadyPopulated,
     BadItemRef,
@@ -218,6 +218,93 @@ class TestLinearize:
         g = build_demo_graph()
         g.append_item(VisualItem(1, 1, 1, ItemModality.IMAGE, "stray"))
         assert g.linearize() != base  # bank count in the header
+
+    def test_rerender_after_budget_change(self):
+        g = build_demo_graph()
+        shape_memory(g, EnergyParams(top_k=1))
+        first = g.linearize()
+        item = g.memory_bank[0]
+        assert not item.dropped
+        item.allocated_budget -= 1
+        second = g.linearize()
+        assert second != first
+        assert second == MemoryGraph.from_dict(g.to_dict()).linearize()
+        item.allocated_budget = 1
+        assert '"budget":1,' in g.linearize()
+        item.allocated_budget = True  # equal to 1 in Python, but not in JSON
+        assert '"budget":true,' in g.linearize()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["add", "populate", "answer", "shape", "summary", "budget", "step",
+                     "dropped", "saliency", "append", "retype"]
+                ),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            max_size=40,
+        )
+    )
+    def test_reused_lines_match_fresh_render(self, ops):
+        g = new_graph("probe query")
+        for op, seed in ops:
+            rng = random.Random(seed)
+            searches = [n for n in g.nodes if n.kind is NodeKind.SEARCH]
+            items = g.memory_bank
+            live = [item for item in items if not item.dropped]
+            if op == "add" and not g.is_terminal:
+                parents = rng.sample(g.nodes, rng.randint(1, min(2, len(g.nodes))))
+                g.add_search_node(f"n{len(g.nodes)}", {n.title for n in parents}, f"query {seed}")
+            elif op == "populate" and not g.is_terminal:
+                pending = [n for n in searches if not n.populated]
+                if pending:
+                    node = rng.choice(pending)
+                    refs = [
+                        g.append_item(random_item(rng, len(items), node.index, slot))
+                        for slot in range(rng.randint(0, 3))
+                    ]
+                    g.populate_node(node.index, f"summary {seed}", refs)
+            elif op == "answer" and not g.is_terminal:
+                g.add_answer_node({rng.choice(g.nodes).title}, f"answer {seed}")
+            elif op == "shape":
+                shape_memory(g, EnergyParams(top_k=rng.randint(1, 3), s_total=1000))
+            elif op == "summary" and searches:
+                rng.choice(searches).summary = f"edited {seed}"
+            elif op == "budget" and live:
+                rng.choice(live).allocated_budget = rng.randint(0, 5)
+            elif op == "step":
+                g.step += 1
+            elif op == "dropped" and live:
+                item = rng.choice(live)
+                item.dropped = True
+                item.allocated_budget = 0
+            elif op == "saliency" and items:
+                rng.choice(items).saliency = rng.choice([0, 1])
+            elif op == "append" and not g.is_terminal:
+                g.append_item(random_item(rng, len(items), rng.randrange(len(g.nodes)), -1))
+            elif op == "retype" and items:
+                item = rng.choice(items)  # same value, other type: 1 -> True, 12.0 -> 12
+                saliency = item.saliency
+                item.saliency = bool(saliency) if type(saliency) is int else int(saliency)
+                if item.source_timestamp_s is not None:
+                    ts = item.source_timestamp_s
+                    item.source_timestamp_s = int(ts) if type(ts) is float else float(ts)
+            assert g.linearize() == MemoryGraph.from_dict(g.to_dict()).linearize()
+
+
+def random_item(rng, ordinal, owner, slot):
+    return VisualItem(
+        ordinal,
+        owner,
+        slot,
+        rng.choice(list(ItemModality)),
+        f"ref://{owner}/{ordinal}",
+        saliency=rng.choice([0, 1, 1]),
+        priority=rng.randint(1, 5),
+        source_timestamp_s=rng.choice([None, 12.0, 7.25]),
+    )
 
 
 class TestDuplicateQueries:

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import socket
 import threading
 
 import numpy as np
@@ -270,24 +271,46 @@ class TestPersistence:
 
 
 class TestSearchServer:
-    def test_post_search(self, toy_corpus):
+    @pytest.fixture
+    def server_address(self, toy_corpus):
         server = make_search_server(toy_corpus, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            host, port = server.server_address[:2]
-            url = f"http://{host}:{port}/search"
-            response = requests.post(url, json={"query": "who directed Solaris Dawn film", "k": 2})
-            assert response.status_code == 200
-            results = response.json()["results"]
-            assert len(results) == 2
-            assert results[0]["source_id"] == "doc-director"
-
-            assert requests.post(url, json={"nope": 1}).status_code == 400
-            assert (
-                requests.post(f"http://{host}:{port}/other", json={}).status_code == 404
-            )
+            yield server.server_address[:2]
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    def test_post_search(self, server_address):
+        host, port = server_address
+        url = f"http://{host}:{port}/search"
+        response = requests.post(url, json={"query": "who directed Solaris Dawn film", "k": 2})
+        assert response.status_code == 200
+        results = response.json()["results"]
+        assert len(results) == 2
+        assert results[0]["source_id"] == "doc-director"
+
+        assert requests.post(url, json={"nope": 1}).status_code == 400
+        assert requests.post(f"http://{host}:{port}/other", json={}).status_code == 404
+
+    @pytest.mark.parametrize(
+        "body",
+        ['[{"query": "solaris"}]', '"solaris"', "3", "null", '{"query": "solaris", "k": [2]}'],
+        ids=["array", "string", "number", "null", "k-list"],
+    )
+    def test_non_object_body_rejected(self, server_address, body):
+        host, port = server_address
+        response = requests.post(f"http://{host}:{port}/search", data=body, timeout=5)
+        assert response.status_code == 400
+        assert response.json()["error"].startswith("bad request")
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_rejected(self, server_address, length):
+        body = b'{"query": "solaris"}'
+        head = f"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection(server_address, timeout=5) as sock:
+            sock.sendall(head.encode("ascii") + body)
+            reply = sock.recv(4096)
+        assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == b"400"
