@@ -10,6 +10,7 @@ client can replace it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -32,6 +33,7 @@ EMBED_SEED_DEFAULT = 9157
 CLIP_LEN_DEFAULT = 60.0
 FRAMES_PER_CLIP_DEFAULT = 8
 SCORE_DECIMALS = 12  # ranking quantization, keeps near-ties platform-stable
+_BUCKET_CACHE_SIZE = 1 << 16  # memoized token buckets, bounded in memory
 
 CORPUS_SCHEMA = "corpus/1"
 MANIFEST_SCHEMA = "corpus-manifest/1"
@@ -180,6 +182,7 @@ class Observation:
         )
 
 
+@functools.lru_cache(maxsize=_BUCKET_CACHE_SIZE)
 def _bucket(token: str, dim: int, seed: int) -> int:
     digest = hashlib.blake2b(
         token.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "big")
@@ -243,14 +246,16 @@ def build_corpus(
     units: list[SearchUnit] = []
     vectors: list[np.ndarray] = []
     for pos, item in enumerate(items):
+        # every clip of a video is indexed by the video's caption
+        vector = embed(item.content, embed_dim, embed_seed)
         if item.modality is Modality.VIDEO:
             for start, end in segment_video(item.duration_s, clip_len_s):
                 clips.append(Clip(item.id, start, end))
                 units.append(SearchUnit(item_pos=pos, clip_pos=len(clips) - 1))
-                vectors.append(embed(item.content, embed_dim, embed_seed))
+                vectors.append(vector)
         else:
             units.append(SearchUnit(item_pos=pos))
-            vectors.append(embed(item.content, embed_dim, embed_seed))
+            vectors.append(vector)
     index = (
         np.stack(vectors, axis=0) if vectors else np.zeros((0, embed_dim), dtype=np.float64)
     )
@@ -302,7 +307,8 @@ def search(
         raise EmptyIndex("corpus has no searchable units")
     query_vec = embed(query, corpus.embed_dim, corpus.embed_seed)
     scores = np.round(corpus.index @ query_vec, SCORE_DECIMALS)
-    order = sorted(range(len(corpus.units)), key=lambda i: (-scores[i], i))[:k]
+    # a stable sort keeps exact ties in insertion order
+    order = np.argsort(-scores, kind="stable")[:k].tolist()
 
     observations: list[Observation] = []
     counters = {Modality.TEXT: 0, Modality.IMAGE: 0, Modality.VIDEO: 0}

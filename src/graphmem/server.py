@@ -4,6 +4,14 @@ Exposes the exact engine the runtime uses as ``POST /search`` with a JSON
 body ``{"query": ..., "k": ...}``, so external policies can query the same
 index.  Built on the stdlib threading server; the corpus is immutable, so
 concurrent requests are safe.
+
+Connections are kept alive (HTTP/1.1), so a client can send many searches
+over one socket; each reply leaves in one send.  Every reply other than a 200
+carries ``Connection: close``, because the request body may not have been
+read.  Requests are bounded: ``k`` above ``MAX_K`` gets 400 before any
+search, a ``Content-Length`` above ``MAX_BODY_BYTES`` gets 400 before the body
+is read, and a connection that sends nothing for ``READ_TIMEOUT_S`` seconds,
+idle or in the middle of a body, is closed without a reply.
 """
 
 from __future__ import annotations
@@ -13,7 +21,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .canon import canonical_dumps
 from .errors import DomainError
-from .retrieval import Corpus, search
+from .retrieval import Corpus, RetrievalError, search
+
+MAX_K = 100
+MAX_BODY_BYTES = 1 << 16
+READ_TIMEOUT_S = 2.0
+# large enough that the headers and a typical reply leave in one send
+_WRITE_BUFFER_BYTES = 1 << 16
 
 
 def make_search_server(
@@ -25,16 +39,32 @@ def make_search_server(
     n_frames: int = 8,
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the server; ``port=0`` picks a free port."""
+    if not 1 <= default_k <= MAX_K:
+        raise RetrievalError(f"default k must be in [1, {MAX_K}], got {default_k}")
 
     class SearchHandler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = READ_TIMEOUT_S
+        wbufsize = _WRITE_BUFFER_BYTES
+        # a reply larger than the buffer goes out in several sends
+        disable_nagle_algorithm = True
+
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass
+
+        def handle_expect_100(self) -> bool:
+            # the client sends its body only after the buffered 100 leaves
+            super().handle_expect_100()
+            self.wfile.flush()
+            return True
 
         def _reply(self, status: int, payload: dict) -> None:
             body = (canonical_dumps(payload) + "\n").encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(body)))
+            if status != 200:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -44,8 +74,8 @@ def make_search_server(
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
-                if length < 0:
-                    raise ValueError("Content-Length must be non-negative")
+                if not 0 <= length <= MAX_BODY_BYTES:
+                    raise ValueError(f"Content-Length must be in [0, {MAX_BODY_BYTES}]")
                 request = json.loads(self.rfile.read(length).decode("utf-8"))
                 if not isinstance(request, dict):
                     raise ValueError("body must be a JSON object")
@@ -53,6 +83,8 @@ def make_search_server(
                 k = int(request.get("k", default_k))
                 if not isinstance(query, str):
                     raise ValueError("query must be a string")
+                if k > MAX_K:
+                    raise ValueError(f"k must be <= {MAX_K}, got {k}")
             except (ValueError, TypeError, KeyError) as exc:
                 self._reply(400, {"error": f"bad request: {exc}"})
                 return

@@ -1,8 +1,10 @@
+import http.client
 import json
 import logging
 import random
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from graphmem.retrieval import (
     DuplicateItemId,
     EmptyIndex,
     Modality,
+    RetrievalError,
     build_corpus,
     embed,
     is_searchable,
@@ -31,7 +34,7 @@ from graphmem.retrieval import (
     search,
     segment_video,
 )
-from graphmem.server import make_search_server
+from graphmem.server import MAX_BODY_BYTES, MAX_K, READ_TIMEOUT_S, make_search_server
 from helpers import pure_python_topk
 
 
@@ -62,6 +65,19 @@ class TestBuildCorpus:
     def test_bad_clip_length(self):
         with pytest.raises(BadClipLength):
             build_corpus([CorpusItem("t", Modality.TEXT, "a")], clip_len_s=0)
+
+    def test_every_row_is_its_items_embedding(self):
+        items = [
+            CorpusItem("v1", Modality.VIDEO, "red car chase", duration_s=150.0),
+            CorpusItem("t", Modality.TEXT, "blue sky"),
+            CorpusItem("v2", Modality.VIDEO, "...", duration_s=200.0),
+            CorpusItem("i", Modality.IMAGE, "red car"),
+        ]
+        corpus = build_corpus(items, clip_len_s=60.0)
+        assert len(corpus.units) == 3 + 1 + 4 + 1
+        for unit, row in zip(corpus.units, corpus.index):
+            expected = embed(items[unit.item_pos].content)
+            assert row.tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -142,6 +158,26 @@ class TestSearch:
     def test_unsearchable_query_scores_zero(self, toy_corpus):
         results = search(toy_corpus, "!!!", 3)
         assert all(obs.score == 0.0 for obs in results)
+        first = [toy_corpus.units[i] for i in range(3)]
+        assert [(obs.source_id, obs.clip_start_s) for obs in results] == [
+            (
+                toy_corpus.items[u.item_pos].id,
+                None if u.clip_pos is None else toy_corpus.clips[u.clip_pos].start_s,
+            )
+            for u in first
+        ]
+
+    def test_clips_of_one_video_tie_in_insertion_order(self):
+        items = [
+            CorpusItem("t", Modality.TEXT, "ocean waves"),
+            CorpusItem("v", Modality.VIDEO, "ocean waves at dusk", duration_s=250.0),
+        ]
+        corpus = build_corpus(items, clip_len_s=60.0)
+        results = search(corpus, "dusk waves", 6)
+        clips = [o for o in results if o.modality is Modality.VIDEO]
+        assert [o.clip_start_s for o in clips] == [0.0, 60.0, 120.0, 180.0, 240.0]
+        assert len({o.score for o in clips}) == 1
+        assert [o.source_id for o in results] == ["v"] * 5 + ["t"]
 
     def test_observation_ids_dense_per_modality(self, toy_corpus):
         results = search(toy_corpus, "Solaris Dawn Mira Chen", 6)
@@ -163,21 +199,28 @@ class TestSearch:
     def test_ranking_matches_oracle_on_random_corpora(self, seed):
         rng = random.Random(seed)
         vocabulary = [f"word{i}" for i in range(40)]
-        items = [
-            CorpusItem(
-                f"doc{i}",
-                Modality.TEXT,
-                " ".join(rng.choices(vocabulary, k=rng.randint(1, 12))),
-            )
-            for i in range(rng.randint(1, 60))
-        ]
-        corpus = build_corpus(items, embed_dim=64)
+        items = []
+        for i in range(rng.randint(1, 60)):
+            words = " ".join(rng.choices(vocabulary, k=rng.randint(1, 12)))
+            if rng.random() < 0.3:
+                duration = rng.uniform(1.0, 300.0)
+                items.append(CorpusItem(f"vid{i}", Modality.VIDEO, words, duration_s=duration))
+            else:
+                items.append(CorpusItem(f"doc{i}", Modality.TEXT, words))
+        corpus = build_corpus(items, clip_len_s=60.0, embed_dim=64)
+        # the unit list and its vectors, rebuilt from the items alone
+        units = []
+        for item in items:
+            if item.modality is Modality.VIDEO:
+                units += [(item, start) for start, _ in segment_video(item.duration_s, 60.0)]
+            else:
+                units.append((item, None))
+        vectors = [list(map(float, embed(item.content, dim=64))) for item, _ in units]
         query = " ".join(rng.choices(vocabulary, k=rng.randint(1, 6)))
-        k = rng.randint(1, len(items) + 2)
-        vectors = [list(map(float, row)) for row in corpus.index]
+        k = rng.randint(1, len(units) + 2)
         oracle = pure_python_topk(vectors, list(map(float, embed(query, dim=64))), k)
-        got = [obs.source_id for obs in search(corpus, query, k)]
-        assert got == [corpus.items[corpus.units[i].item_pos].id for i in oracle]
+        got = [(obs.source_id, obs.clip_start_s) for obs in search(corpus, query, k)]
+        assert got == [(units[i][0].id, units[i][1]) for i in oracle]
 
 
 class TestFrames:
@@ -314,3 +357,79 @@ class TestSearchServer:
             sock.sendall(head.encode("ascii") + body)
             reply = sock.recv(4096)
         assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == b"400"
+
+    @pytest.mark.parametrize("default_k", [0, MAX_K + 1])
+    def test_default_k_outside_cap_refused(self, toy_corpus, default_k):
+        with pytest.raises(RetrievalError):
+            make_search_server(toy_corpus, default_k=default_k)
+
+    def test_k_above_cap_rejected(self, server_address):
+        host, port = server_address
+        url = f"http://{host}:{port}/search"
+        response = requests.post(url, json={"query": "solaris", "k": MAX_K + 1}, timeout=5)
+        assert response.status_code == 400
+        assert str(MAX_K) in response.json()["error"]
+        assert requests.post(url, json={"query": "solaris", "k": MAX_K}, timeout=5).ok
+
+    def test_short_body_times_out_quietly(self, server_address, capsys):
+        head = "POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+        with socket.create_connection(server_address, timeout=5) as sock:
+            started = time.monotonic()
+            sock.sendall(head.encode("ascii") + b'{"query": "x"}')
+            reply = sock.recv(4096)
+            waited = time.monotonic() - started
+        assert reply == b""  # closed without a reply
+        assert READ_TIMEOUT_S <= waited < 5
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_oversized_body_rejected_unread(self, server_address):
+        head = (
+            "POST /search HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        )
+        with socket.create_connection(server_address, timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        status_line, headers = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n", 1)
+        assert status_line.split(b" ")[1] == b"400"
+        assert b"Connection: close" in headers
+
+    def test_expect_100_continue_answered(self, server_address):
+        body = b'{"query": "solaris", "k": 1}'
+        head = (
+            "POST /search HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        with socket.create_connection(server_address, timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            assert sock.recv(4096).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+
+    def test_connection_kept_alive_until_error(self, server_address):
+        conn = http.client.HTTPConnection(*server_address, timeout=5)
+
+        def post(body: bytes) -> http.client.HTTPResponse:
+            conn.request("POST", "/search", body=body)
+            response = conn.getresponse()
+            response.read()
+            return response
+
+        try:
+            first = post(b'{"query": "solaris", "k": 2}')
+            sock = conn.sock
+            second = post(b'{"query": "mira chen", "k": 3}')
+            assert (first.status, second.status) == (200, 200)
+            assert conn.sock is sock
+
+            rejected = post(b'{"nope": 1}')
+            assert rejected.status == 400
+            assert rejected.getheader("Connection") == "close"
+            assert conn.sock is None
+
+            assert post(b'{"query": "solaris"}').status == 200
+            assert conn.sock is not None and conn.sock is not sock
+        finally:
+            conn.close()
