@@ -14,15 +14,13 @@ from .energy import (
     ItemModality,
     VisualItem,
     allocate_budget,
-    budget_to_resolution,
-    intrinsic_energy,
     normalize_priority,
     recursive_energy,
     select_top_k,
     shape_memory,
 )
 from .errors import DomainError
-from .graph import MemoryGraph, MemoryNode, NodeKind, load_graph, new_graph, save_graph
+from .graph import MemoryGraph, MemoryNode, NodeKind, new_graph
 from .protocol import (
     Answer,
     Memorize,

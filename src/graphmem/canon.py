@@ -10,7 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Any
+from pathlib import Path
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .errors import DomainError
 
 _WS_RE = re.compile(r"\s+")
 
@@ -47,3 +51,22 @@ def canonical_dumps(obj: Any) -> str:
 
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def read_text(path: str | Path, error: type["DomainError"]) -> str:
+    """The UTF-8 text of an input file.  A file that is missing, unreadable
+    or not UTF-8 raises the caller's ``error``, naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_json(path: str | Path, error: type["DomainError"]) -> Any:
+    """The parsed content of a JSON input file; any failure to read or parse
+    it raises the caller's ``error``, naming the path."""
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc

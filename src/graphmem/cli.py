@@ -12,7 +12,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .canon import canonical_dumps, sha256_hex
+from .canon import canonical_dumps, read_json, read_text, sha256_hex
 from .config import Config, ConfigError, dump_config, load_config
 from .errors import DomainError
 from .retrieval import (
@@ -46,6 +46,10 @@ TOKEN_CHARS = 4  # proxy: rendered prompt characters per counted token
 
 class EmptyCorpus(DomainError):
     code = "EmptyCorpus"
+
+
+class BadInputFile(DomainError):
+    code = "BadInputFile"
 
 
 def _build_policy(config: Config) -> Policy:
@@ -135,10 +139,45 @@ def _apply_overrides(config: Config, overrides: list[str]) -> Config:
             record[field_name] = json.loads(raw)
         except json.JSONDecodeError:
             record[field_name] = raw
+    return Config(**record)
+
+
+def _read_queries(path: str) -> list[dict]:
+    """Batch mode input: one JSON object per line with a "query" string and
+    an optional "gold" string.  Every line is checked before any episode
+    starts."""
+    entries = []
+    for number, line in enumerate(read_text(path, BadInputFile).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BadInputFile(f"{path}:{number}: not valid JSON: {exc}") from exc
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("query"), str)
+            and isinstance(entry.get("gold", ""), str)
+        ):
+            raise BadInputFile(
+                f'{path}:{number}: expected an object with a "query" string '
+                f'and an optional "gold" string'
+            )
+        entries.append(entry)
+    return entries
+
+
+def _read_gold_manifest(path: str) -> dict[str, list[str]]:
+    record = read_json(path, BadInputFile)
     try:
-        return Config(**record)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return {
+            entry["query"]: list(entry.get("gold_evidence_ids", []))
+            for entry in record.get("entries", [])
+        }
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise BadInputFile(
+            f'{path}: expected {{"entries": [{{"query": ..., "gold_evidence_ids": [...]}}]}}'
+        ) from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -157,11 +196,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         return 0
 
-    # batch mode: one JSON object per line with "query" and optional "gold"
-    entries = []
-    for line in Path(args.queries).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            entries.append(json.loads(line))
+    entries = _read_queries(args.queries)
 
     def run_entry(indexed: tuple[int, dict]) -> str:
         index, entry = indexed
@@ -180,11 +215,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
-    gold_by_query: dict[str, list[str]] = {}
-    if args.gold_manifest:
-        record = json.loads(Path(args.gold_manifest).read_text(encoding="utf-8"))
-        for entry in record.get("entries", []):
-            gold_by_query[entry["query"]] = list(entry.get("gold_evidence_ids", []))
+    gold_by_query = _read_gold_manifest(args.gold_manifest) if args.gold_manifest else {}
 
     trajectories = [load_trajectory(path) for path in args.trajectories]
     by_query: dict[str, list[Trajectory]] = {}

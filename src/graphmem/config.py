@@ -6,12 +6,11 @@ keeps its default, unknown keys are rejected (they are almost always typos).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .canon import canonical_dumps
-from .energy import EnergyParams, PATCH_SIDE_DEFAULT, S_TOTAL_DEFAULT
+from .canon import canonical_dumps, read_json, read_text
+from .energy import EnergyParams
 from .errors import DomainError
 from .protocol import DEFAULT_INSTRUCTION
 from .runtime import EpisodeConfig, TOKEN_ENV_DEFAULT
@@ -24,19 +23,16 @@ class ConfigError(DomainError):
 @dataclass
 class Config:
     # energy / shaping
-    lambda_decay: float = 0.1
-    gamma_feedback: float = 0.3
-    s_total: int = S_TOTAL_DEFAULT
-    top_k: int = 5
-    uniform_mode: bool = False
-    patch_side: int = PATCH_SIDE_DEFAULT
+    lambda_decay: float = EnergyParams.lambda_decay
+    gamma_feedback: float = EnergyParams.gamma_feedback
+    s_total: int = EnergyParams.s_total
+    top_k: int = EnergyParams.top_k
+    uniform_mode: bool = EnergyParams.uniform_mode
     # runtime
-    t_max: int = 20
-    search_k: int = 5
-    n_frames: int = 8
+    t_max: int = EpisodeConfig.t_max
+    search_k: int = EpisodeConfig.search_k
+    n_frames: int = EpisodeConfig.n_frames
     instruction_path: str = ""  # empty -> built-in default instruction
-    # training
-    clip_epsilon: float = 0.2
     # policy
     policy_mode: str = "scripted"  # "scripted" | "remote"
     policy_script: str = ""
@@ -59,29 +55,36 @@ class Config:
             raise ConfigError(f"policy_mode must be 'scripted' or 'remote', got {self.policy_mode!r}")
         if self.judge_mode not in ("exact", "remote"):
             raise ConfigError(f"judge_mode must be 'exact' or 'remote', got {self.judge_mode!r}")
+        # the engine's own classes hold the range checks; run them now so a
+        # bad value fails at load time as a ConfigError
+        try:
+            self._episode_config(DEFAULT_INSTRUCTION)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def energy_params(self) -> EnergyParams:
-        return EnergyParams(
+    def _episode_config(self, instruction: str) -> EpisodeConfig:
+        energy = EnergyParams(
             lambda_decay=self.lambda_decay,
             gamma_feedback=self.gamma_feedback,
             s_total=self.s_total,
             top_k=self.top_k,
             uniform_mode=self.uniform_mode,
         )
+        return EpisodeConfig(
+            t_max=self.t_max,
+            energy=energy,
+            search_k=self.search_k,
+            n_frames=self.n_frames,
+            instruction=instruction,
+        )
 
     def instruction_text(self) -> str:
         if not self.instruction_path:
             return DEFAULT_INSTRUCTION
-        return Path(self.instruction_path).read_text(encoding="utf-8")
+        return read_text(self.instruction_path, ConfigError)
 
     def episode_config(self) -> EpisodeConfig:
-        return EpisodeConfig(
-            t_max=self.t_max,
-            energy=self.energy_params(),
-            search_k=self.search_k,
-            n_frames=self.n_frames,
-            instruction=self.instruction_text(),
-        )
+        return self._episode_config(self.instruction_text())
 
     def require(self, field_name: str) -> str:
         value = getattr(self, field_name)
@@ -94,11 +97,7 @@ def load_config(path: str | Path | None) -> Config:
     """Defaults plus overrides from a JSON config file (when given)."""
     if path is None:
         return Config()
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    record = read_json(path, ConfigError)
     if not isinstance(record, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     known = {f.name for f in fields(Config)}
@@ -107,7 +106,7 @@ def load_config(path: str | Path | None) -> Config:
         raise ConfigError(f"{path}: unknown config fields {unknown}")
     try:
         return Config(**record)
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

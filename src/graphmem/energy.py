@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .graph import MemoryGraph
 
 S_TOTAL_DEFAULT = 5 * 256 * 32 * 32  # 1,310,720 vision tokens
-PATCH_SIDE_DEFAULT = 32
 
 
 class EnergyError(DomainError):
@@ -32,10 +31,6 @@ class EnergyError(DomainError):
 
 class BadPriority(EnergyError):
     code = "BadPriority"
-
-
-class ClockInconsistency(EnergyError):
-    code = "ClockInconsistency"
 
 
 class ItemModality(str, Enum):
@@ -144,14 +139,6 @@ class EnergyReport:
     node_mean: dict[int, float]
     evaluation_step: int
 
-    def to_dict(self) -> dict:
-        return {
-            "evaluation_step": self.evaluation_step,
-            "intrinsic": {str(k): v for k, v in sorted(self.intrinsic.items())},
-            "total": {str(k): v for k, v in sorted(self.total.items())},
-            "node_mean": {str(k): v for k, v in sorted(self.node_mean.items())},
-        }
-
 
 @dataclass(frozen=True)
 class BudgetAssignment:
@@ -196,20 +183,6 @@ def _intrinsic(item: VisualItem, age: int, out_degree: int, params: EnergyParams
         * (1 + out_degree)
         * math.exp(-params.lambda_decay * age)
     )
-
-
-def intrinsic_energy(item: VisualItem, graph: "MemoryGraph", params: EnergyParams) -> float:
-    """Base importance of one live item: priority x structural centrality of
-    its owning node x exponential decay over elapsed steps."""
-    if item.dropped:
-        raise EnergyError(f"item {item.ordinal} is dropped and has no energy")
-    owner = graph.nodes[item.owner_node]
-    if graph.step < owner.created_step:
-        raise ClockInconsistency(
-            f"graph step {graph.step} precedes node creation step {owner.created_step}"
-        )
-    age = graph.step - owner.created_step
-    return _intrinsic(item, age, graph.out_degree(item.owner_node), params)
 
 
 def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport:
@@ -321,21 +294,3 @@ def shape_memory(graph: "MemoryGraph", params: EnergyParams) -> BudgetAssignment
             item.dropped = True
             item.allocated_budget = 0
     return assignment
-
-
-def budget_to_resolution(budget: int, patch_side: int = PATCH_SIDE_DEFAULT) -> tuple[int, int]:
-    """Largest near-square patch grid whose patch count fits the budget,
-    returned as (width, height) in pixels.
-
-    Columns take floor(sqrt(budget)); rows absorb the remainder, so height
-    is always >= width. A budget below one patch yields (0, 0).
-    """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    if patch_side <= 0:
-        raise ValueError("patch_side must be > 0")
-    cols = math.isqrt(budget)
-    if cols == 0:
-        return (0, 0)
-    rows = budget // cols
-    return (cols * patch_side, rows * patch_side)

@@ -10,11 +10,9 @@ and refuses further mutation.
 
 from __future__ import annotations
 
-import json
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
 from .canon import canonical_dumps, normalize_text
@@ -153,12 +151,6 @@ class MemoryGraph:
             if node.title == title:
                 return node.index
         raise UnknownParent(f"no node titled {title!r}")
-
-    def out_degree(self, index: int) -> int:
-        """Number of edges leaving the node, counting edges into every node
-        kind including the answer node."""
-        self.node_at(index)
-        return sum(1 for node in self.nodes if index in node.parent_indices)
 
     def critical_path(self) -> set[int]:
         """Indices of all nodes with a directed path to the answer node,
@@ -420,17 +412,3 @@ def new_graph(root_query: str) -> MemoryGraph:
     )
     graph.validate()
     return graph
-
-
-def save_graph(graph: MemoryGraph, path: str | Path) -> None:
-    Path(path).write_text(canonical_dumps(graph.to_dict()) + "\n", encoding="utf-8")
-
-
-def load_graph(path: str | Path) -> MemoryGraph:
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptGraph(f"not a JSON graph file: {exc}") from exc
-    if not isinstance(record, dict):
-        raise CorruptGraph("graph file must hold a JSON object")
-    return MemoryGraph.from_dict(record)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .canon import canonical_dumps
+from .canon import canonical_dumps, read_json
 from .energy import ItemModality, VisualItem
 from .errors import DomainError
 
@@ -206,10 +205,6 @@ def embed(text: str, dim: int = EMBED_DIM_DEFAULT, seed: int = EMBED_SEED_DEFAUL
     return counts / norm
 
 
-def is_searchable(vector: np.ndarray) -> bool:
-    return bool(vector.any())
-
-
 def segment_video(duration_s: float, clip_len_s: float) -> list[tuple[float, float]]:
     """Split [0, duration) into consecutive clips of at most ``clip_len_s``
     seconds; the last clip may be shorter."""
@@ -316,33 +311,25 @@ def search(
         unit = corpus.units[unit_pos]
         item = corpus.items[unit.item_pos]
         counters[item.modality] += 1
-        obs_id = f"{_MODALITY_LABEL[item.modality]} {counters[item.modality]}"
+        clip_fields = {}
         if unit.clip_pos is not None:
             clip = corpus.clips[unit.clip_pos]
-            observations.append(
-                Observation(
-                    id=obs_id,
-                    source_id=item.id,
-                    modality=item.modality,
-                    score=round(float(scores[unit_pos]), 6),
-                    content=item.content,
-                    asset_ref=item.asset_ref,
-                    clip_start_s=clip.start_s,
-                    clip_end_s=clip.end_s,
-                    frames=tuple(sample_frames(clip, n_frames)),
-                )
+            clip_fields = {
+                "clip_start_s": clip.start_s,
+                "clip_end_s": clip.end_s,
+                "frames": tuple(sample_frames(clip, n_frames)),
+            }
+        observations.append(
+            Observation(
+                id=f"{_MODALITY_LABEL[item.modality]} {counters[item.modality]}",
+                source_id=item.id,
+                modality=item.modality,
+                score=round(float(scores[unit_pos]), 6),
+                content=item.content,
+                asset_ref=item.asset_ref,
+                **clip_fields,
             )
-        else:
-            observations.append(
-                Observation(
-                    id=obs_id,
-                    source_id=item.id,
-                    modality=item.modality,
-                    score=round(float(scores[unit_pos]), 6),
-                    content=item.content,
-                    asset_ref=item.asset_ref,
-                )
-            )
+        )
     return observations
 
 
@@ -397,11 +384,7 @@ def _items_from_record(record: dict, origin: str) -> list[CorpusItem]:
 
 
 def load_manifest(path: str | Path) -> list[CorpusItem]:
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BadManifest(f"{path}: not valid JSON: {exc}") from exc
+    record = read_json(path, BadManifest)
     if isinstance(record, dict) and record.get("schema") not in (None, MANIFEST_SCHEMA):
         raise BadManifest(f"{path}: unsupported manifest schema {record.get('schema')!r}")
     return _items_from_record(record, str(path))
@@ -432,11 +415,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise BadManifest(f"{path}: not valid JSON: {exc}") from exc
+    record = read_json(path, BadManifest)
     if not isinstance(record, dict) or record.get("schema") != CORPUS_SCHEMA:
         raise BadManifest(f"{path}: expected a {CORPUS_SCHEMA!r} file")
     items = _items_from_record(record, str(path))

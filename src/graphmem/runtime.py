@@ -23,7 +23,7 @@ from typing import Sequence
 
 import requests
 
-from .canon import canonical_dumps, normalize_text
+from .canon import canonical_dumps, normalize_text, read_json, read_text
 from .energy import BudgetAssignment, EnergyParams, ItemModality, VisualItem, shape_memory
 from .errors import DomainError
 from .graph import GraphError, MemoryGraph, NodeKind, new_graph
@@ -103,14 +103,10 @@ class ScriptedPolicy(Policy):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedPolicy":
-        responses = json.loads(Path(path).read_text(encoding="utf-8"))
+        responses = read_json(path, PolicyProtocolError)
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise PolicyProtocolError(f"{path}: script must be a JSON list of strings")
         return cls(responses)
-
-    @property
-    def calls(self) -> int:
-        return self._cursor
 
     def seek(self, n: int) -> None:
         """Skip the first ``n`` responses (used when resuming a session)."""
@@ -150,7 +146,6 @@ class ChatCompletionsClient:
         token_env: str = TOKEN_ENV_DEFAULT,
         timeout_s: float = 60.0,
         max_in_flight: int = 8,
-        session: requests.Session | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -158,7 +153,7 @@ class ChatCompletionsClient:
         self.timeout_s = timeout_s
         self.transcripts: list[dict] = []
         self._gate = threading.Semaphore(max_in_flight)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def complete(self, messages: list[dict]) -> str:
         payload = {"model": self.model, "messages": messages}
@@ -188,10 +183,6 @@ class RemotePolicy(Policy):
 
     def __init__(self, client: ChatCompletionsClient):
         self.client = client
-
-    @property
-    def transcripts(self) -> list[dict]:
-        return self.client.transcripts
 
     def act(self, bundle: PromptBundle, followup: Sequence[tuple[str, str]] = ()) -> str:
         return self.client.complete(bundle_messages(bundle, followup))
@@ -441,6 +432,8 @@ class Trajectory:
             meta = json.loads(lines[0])
         except json.JSONDecodeError as exc:
             raise CorruptSession(f"bad trajectory meta line: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CorruptSession("trajectory meta line must be a JSON object")
         if meta.get("kind") != "meta" or meta.get("schema") != TRAJECTORY_SCHEMA:
             raise SessionSchemaMismatch(
                 f"expected a {TRAJECTORY_SCHEMA!r} meta line, got {meta.get('schema')!r}"
@@ -464,7 +457,7 @@ def save_trajectory(trajectory: Trajectory, path: str | Path) -> None:
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    return Trajectory.from_jsonl(Path(path).read_text(encoding="utf-8"))
+    return Trajectory.from_jsonl(read_text(path, CorruptSession))
 
 
 # -- transitions --------------------------------------------------------------
@@ -733,10 +726,7 @@ def save_session(state: SessionState, path: str | Path) -> None:
 
 
 def load_session(path: str | Path) -> SessionState:
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptSession(f"not a JSON session file: {exc}") from exc
+    record = read_json(path, CorruptSession)
     if not isinstance(record, dict) or record.get("schema") != SESSION_SCHEMA:
         raise SessionSchemaMismatch(
             f"expected schema {SESSION_SCHEMA!r}, got "

@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .canon import canonical_dumps, normalize_text
+from .canon import canonical_dumps
 from .errors import DomainError
 from .graph import NodeKind
-from .retrieval import Observation
 from .runtime import Trajectory
 
 ADVANTAGE_STD_FLOOR = 1e-6
@@ -172,24 +171,12 @@ def segment_trajectory(trajectory: Trajectory, rollout_id: str = "r0") -> list[T
     return segments
 
 
-def observation_id_matcher(observation: Observation, gold: set[str]) -> bool:
-    """Exact membership of the observation's source item id in the gold set."""
-    return observation.source_id in gold
-
-
-def caption_overlap_matcher(observation: Observation, gold: set[str]) -> bool:
-    """Substring containment of a normalized gold text in the observation
-    content; for corpora without stable evidence ids."""
-    content = normalize_text(observation.content)
-    return any(normalize_text(text) in content for text in gold if text.strip())
-
-
 def detect_valuable_retrieval(
     trajectory: Trajectory,
     gold_evidence_ids: Iterable[str],
-    matcher: Callable[[Observation, set[str]], bool] = observation_id_matcher,
 ) -> set[int]:
-    """Node indices whose retrieval cycle surfaced gold evidence."""
+    """Node indices whose retrieval cycle surfaced gold evidence: an
+    observation whose source item id is in the gold set."""
     gold = set(gold_evidence_ids)
     if not gold:
         return set()
@@ -197,7 +184,7 @@ def detect_valuable_retrieval(
     for record in trajectory.records:
         if record.kind != "retrieve":
             continue
-        if any(matcher(obs, gold) for obs in record.observations):
+        if any(obs.source_id in gold for obs in record.observations):
             hits.add(record.node_index)
     return hits
 
@@ -293,9 +280,6 @@ def masked_objective(
 def prepare_group(
     trajectories: Sequence[Trajectory],
     gold_evidence_ids: Iterable[str] = (),
-    *,
-    rollout_ids: Sequence[str] | None = None,
-    matcher: Callable[[Observation, set[str]], bool] = observation_id_matcher,
 ) -> RolloutGroup:
     """Segment, judge-check, mask, and weight a group of rollouts for one
     query.  Trajectories must already carry rewards (truncated, unanswered
@@ -308,16 +292,11 @@ def prepare_group(
             raise TrainingError(
                 f"all rollouts must share one query; got {trajectory.query!r} and {query!r}"
             )
-    ids = list(rollout_ids) if rollout_ids is not None else [
-        f"r{i}" for i in range(len(trajectories))
-    ]
-    if len(ids) != len(trajectories):
-        raise TrainingError("rollout_ids must match trajectories one-to-one")
-
     gold = tuple(gold_evidence_ids)
     rollouts: list[Rollout] = []
     rewards: list[int] = []
-    for rollout_id, trajectory in zip(ids, trajectories):
+    for i, trajectory in enumerate(trajectories):
+        rollout_id = f"r{i}"
         reward = trajectory.reward
         if reward is None:
             if trajectory.answer_text is not None:
@@ -330,7 +309,7 @@ def prepare_group(
             segments,
             reward,
             trajectory.graph.critical_path(),
-            detect_valuable_retrieval(trajectory, gold, matcher),
+            detect_valuable_retrieval(trajectory, gold),
         )
         rollouts.append(Rollout(rollout_id, reward, segments, mask=mask))
         rewards.append(reward)

@@ -44,9 +44,7 @@ class TestConfig:
         assert config.t_max == 20
         assert config.search_k == 5
         assert config.n_frames == 8
-        assert config.clip_epsilon == 0.2
         assert config.top_k == 5
-        assert config.patch_side == 32
 
     def test_round_trip(self, tmp_path):
         config = Config(t_max=7, uniform_mode=True, corpus_path="c.json")
@@ -301,6 +299,88 @@ class TestConfigDump:
         path = tmp_path / "dumped.json"
         path.write_text(dumped, encoding="utf-8")
         assert load_config(path) == Config()
+
+    def test_out_of_range_value_in_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"lambda_decay": -1}', encoding="utf-8")
+        assert main(["config", "dump", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [ConfigError]: ")
+        assert "lambda_decay must be finite and >= 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("t_max=0", "t_max must be >= 1, got 0"),
+        ("top_k=0", "top_k must be >= 1, got 0"),
+        ("search_k=0", "search_k must be >= 1, got 0"),
+        ("lambda_decay=-1", "lambda_decay must be finite and >= 0, got -1"),
+    ],
+)
+def test_out_of_range_override_is_config_error(tmp_path, capsys, override, message):
+    config = write_demo_config(tmp_path)
+    code = main(["run", "--config", str(config), "--query", DEMO_QUERY, "--set", override])
+    assert code == 1
+    assert capsys.readouterr().err == f"error [ConfigError]: {message}\n"
+
+
+def _write(path: Path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _run_with(tmp_path, **overrides) -> list[str]:
+    config = write_demo_config(tmp_path, **overrides)
+    return ["run", "--config", str(config), "--query", DEMO_QUERY]
+
+
+def _run_batch(tmp_path, queries_text: str) -> list[str]:
+    config = write_demo_config(tmp_path)
+    queries = _write(tmp_path / "queries.jsonl", queries_text)
+    return ["run", "--config", str(config), "--queries", queries,
+            "--out-dir", str(tmp_path / "batch")]
+
+
+def _prune_with_gold(tmp_path, gold_text: str) -> list[str]:
+    gold = _write(tmp_path / "gold.json", gold_text)
+    return ["prune", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl"),
+            "--gold-manifest", gold, "--out-batch", str(tmp_path / "b.jsonl")]
+
+
+BAD_INPUTS = {
+    "missing config": lambda tmp: ["run", "--config", str(tmp / "none.json"),
+                                   "--query", DEMO_QUERY],
+    "missing corpus": lambda tmp: _run_with(tmp, corpus_path=str(tmp / "none.json")),
+    "missing script": lambda tmp: _run_with(tmp, policy_script=str(tmp / "none.json")),
+    "malformed script": lambda tmp: _run_with(
+        tmp, policy_script=_write(tmp / "script.json", '["unterminated')
+    ),
+    "missing instruction": lambda tmp: _run_with(
+        tmp, instruction_path=str(tmp / "none.txt")
+    ),
+    "missing trajectory": lambda tmp: ["stats", "--trajectories", str(tmp / "none.jsonl")],
+    "trajectory meta not an object": lambda tmp: [
+        "stats", "--trajectories", _write(tmp / "t.jsonl", "[]\n"),
+    ],
+    "malformed gold manifest": lambda tmp: _prune_with_gold(tmp, "{not json"),
+    "gold entry without query": lambda tmp: _prune_with_gold(tmp, '{"entries": [{}]}'),
+    "queries line not JSON": lambda tmp: _run_batch(tmp, "not json\n"),
+    "queries line without query": lambda tmp: _run_batch(tmp, '{"gold": "x"}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_is_typed_error(tmp_path, capsys, case):
+    argv = BAD_INPUTS[case](tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [")
+    assert "Traceback" not in err
+    # nothing ran, so nothing was written
+    assert not (tmp_path / "batch").exists()
+    assert not (tmp_path / "b.jsonl").exists()
 
 
 def test_console_entry_point():

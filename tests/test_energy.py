@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,21 +8,17 @@ from hypothesis import strategies as st
 
 from graphmem.energy import (
     BadPriority,
-    ClockInconsistency,
-    EnergyError,
     EnergyParams,
     ItemModality,
     S_TOTAL_DEFAULT,
     VisualItem,
     allocate_budget,
-    budget_to_resolution,
-    intrinsic_energy,
     normalize_priority,
     recursive_energy,
     select_top_k,
     shape_memory,
 )
-from graphmem.graph import new_graph
+from graphmem.graph import CorruptGraph, new_graph
 from helpers import naive_intrinsic, naive_omega, random_graph_with_items
 
 
@@ -79,34 +76,30 @@ class TestIntrinsicEnergy:
         g.append_item(VisualItem(0, 1, 0, ItemModality.TEXT, "r", priority=5))
         g.populate_node(1, "s", [0])
         g.step = 1  # T == t_i
-        assert intrinsic_energy(g.memory_bank[0], g, EnergyParams()) == pytest.approx(1.0)
+        assert recursive_energy(g, EnergyParams()).intrinsic[0] == pytest.approx(1.0)
 
     def test_decayed_with_degree(self):
         # p=5, deg+=1, lambda=0.1, T - t_i = 1  ->  2 * e^(-0.1)
         # frozen from a 40-digit evaluation: 1.809674836071919146328498...
         g = chain_graph()
-        value = intrinsic_energy(g.memory_bank[0], g, EnergyParams(lambda_decay=0.1))
+        value = recursive_energy(g, EnergyParams(lambda_decay=0.1)).intrinsic[0]
         assert abs(value - 1.8096748360719192) < 1e-12
 
     def test_zero_decay_is_age_independent(self):
         g = chain_graph()
         params = EnergyParams(lambda_decay=0.0)
-        young = intrinsic_energy(g.memory_bank[0], g, params)
+        young = recursive_energy(g, params).intrinsic[0]
         g.step = 50
-        old = intrinsic_energy(g.memory_bank[0], g, params)
+        old = recursive_energy(g, params).intrinsic[0]
         assert young == old
 
     def test_clock_inconsistency(self):
+        # the decay age T - t_i is never negative: a graph whose step is
+        # behind a node's creation step does not validate
         g = chain_graph()
-        g.step = 0  # behind node creation steps
-        with pytest.raises(ClockInconsistency):
-            intrinsic_energy(g.memory_bank[1], g, EnergyParams())
-
-    def test_dropped_item_rejected(self):
-        g = chain_graph()
-        g.memory_bank[0].dropped = True
-        with pytest.raises(EnergyError):
-            intrinsic_energy(g.memory_bank[0], g, EnergyParams())
+        g.step = 0
+        with pytest.raises(CorruptGraph):
+            g.validate()
 
 
 class TestRecursiveEnergy:
@@ -181,10 +174,12 @@ class TestReportExport:
         from graphmem.energy import BudgetAssignment
 
         g = chain_graph()
-        report = recursive_energy(g, EnergyParams())
-        dumped = canonical_dumps(report.to_dict())
-        assert '"evaluation_step":2' in dumped
-        assert canonical_dumps(report.to_dict()) == dumped
+        params = EnergyParams(s_total=100)
+        assignment = shape_memory(g, params)
+        assert assignment.step == 2
+        dumped = canonical_dumps(assignment.to_dict())
+        assert '"step":2' in dumped
+        assert BudgetAssignment.from_dict(json.loads(dumped)) == assignment
         assignment = BudgetAssignment((1, 0), {0: 25, 1: 75}, 0, 2)
         assert BudgetAssignment.from_dict(assignment.to_dict()) == assignment
 
@@ -322,28 +317,3 @@ class TestShaping:
         assignment = shape_memory(g, params)
         assert g.memory_bank[1].dropped
         assert assignment.retained == (0,)
-
-
-class TestResolution:
-    def test_perfect_square(self):
-        assert budget_to_resolution(1024, 32) == (1024, 1024)
-
-    def test_zero_budget(self):
-        assert budget_to_resolution(0, 32) == (0, 0)
-
-    def test_single_patch(self):
-        assert budget_to_resolution(1, 32) == (32, 32)
-
-    def test_never_exceeds_budget(self):
-        for budget in range(0, 2000, 7):
-            w, h = budget_to_resolution(budget, 32)
-            assert (w // 32) * (h // 32) <= budget
-            # near-square: aspect at most ~2:1 for the grid
-            if budget >= 1:
-                assert h >= w
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            budget_to_resolution(-1, 32)
-        with pytest.raises(ValueError):
-            budget_to_resolution(10, 0)

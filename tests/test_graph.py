@@ -1,10 +1,18 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmem.energy import EnergyParams, ItemModality, VisualItem, shape_memory
+from graphmem.canon import canonical_dumps
+from graphmem.energy import (
+    EnergyParams,
+    ItemModality,
+    VisualItem,
+    recursive_energy,
+    shape_memory,
+)
 from graphmem.graph import (
     AlreadyPopulated,
     BadItemRef,
@@ -17,11 +25,24 @@ from graphmem.graph import (
     NotASearchNode,
     SchemaMismatch,
     UnknownParent,
-    load_graph,
     new_graph,
-    save_graph,
 )
 from helpers import forward_reachability_path, random_graph_with_items
+
+
+def own_item(g, index):
+    """Give node ``index`` a priority-5 item (normalized priority 1)."""
+    g.append_item(
+        VisualItem(len(g.memory_bank), index, 0, ItemModality.TEXT, f"r{index}", priority=5)
+    )
+
+
+def centrality(g, index):
+    """The (1 + out-degree) factor of node ``index``, read off the intrinsic
+    energy of the item :func:`own_item` gave it, with decay switched off."""
+    report = recursive_energy(g, EnergyParams(lambda_decay=0.0))
+    (ordinal,) = [item.ordinal for item in g.memory_bank if item.owner_node == index]
+    return report.intrinsic[ordinal]
 
 
 def build_demo_graph():
@@ -74,12 +95,13 @@ class TestAddSearchNode:
 
     def test_shared_parent_out_degree(self):
         g = new_graph("q")
+        own_item(g, 0)
         g.add_search_node("a", {"root"}, "qa")
         g.add_search_node("b", {"root"}, "qb")
         # oracle: count edges by definition
         edges = [(p, n.index) for n in g.nodes for p in n.parent_indices]
         assert sum(1 for p, _ in edges if p == 0) == 2
-        assert g.out_degree(0) == 2
+        assert centrality(g, 0) == 1 + 2
 
 
 class TestPopulate:
@@ -163,21 +185,24 @@ class TestOutDegree:
     def test_leaf_is_zero(self):
         g = new_graph("q")
         g.add_search_node("s", {"root"}, "q1")
-        assert g.out_degree(1) == 0
+        own_item(g, 1)
+        assert centrality(g, 1) == 1 + 0
 
     def test_root_with_three_children(self):
         g = new_graph("q")
+        own_item(g, 0)
         for name in "abc":
             g.add_search_node(name, {"root"}, f"q-{name}")
-        assert g.out_degree(0) == 3
+        assert centrality(g, 0) == 1 + 3
 
     def test_edge_into_answer_counts(self):
         g = new_graph("q")
         g.add_search_node("s", {"root"}, "q1")
+        own_item(g, 1)
         g.add_answer_node({"s"}, "ans")
         edges = [(p, n.index) for n in g.nodes for p in n.parent_indices]
         assert sum(1 for p, _ in edges if p == 1) == 1
-        assert g.out_degree(1) == 1
+        assert centrality(g, 1) == 1 + 1
 
 
 class TestLinearize:
@@ -328,30 +353,20 @@ class TestDuplicateQueries:
 
 
 class TestPersistence:
-    def test_round_trip_byte_stable(self, tmp_path):
-        g = build_demo_graph()
-        path1 = tmp_path / "g1.json"
-        path2 = tmp_path / "g2.json"
-        save_graph(g, path1)
-        save_graph(load_graph(path1), path2)
-        assert path1.read_bytes() == path2.read_bytes()
+    def test_round_trip_byte_stable(self):
+        first = canonical_dumps(build_demo_graph().to_dict())
+        again = canonical_dumps(MemoryGraph.from_dict(json.loads(first)).to_dict())
+        assert again == first
 
-    def test_schema_mismatch(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": "memory-graph/99", "nodes": []}', encoding="utf-8")
+    def test_schema_mismatch(self):
         with pytest.raises(SchemaMismatch):
-            load_graph(path)
+            MemoryGraph.from_dict({"schema": "memory-graph/99", "nodes": []})
 
-    def test_corrupt_structure_rejected_on_load(self, tmp_path):
-        g = build_demo_graph()
-        record = g.to_dict()
+    def test_corrupt_structure_rejected_on_load(self):
+        record = json.loads(canonical_dumps(build_demo_graph().to_dict()))
         record["nodes"][1]["parent_indices"] = [5]  # parent above own index
-        path = tmp_path / "corrupt.json"
-        import json
-
-        path.write_text(json.dumps(record), encoding="utf-8")
         with pytest.raises(CorruptGraph):
-            load_graph(path)
+            MemoryGraph.from_dict(record)
 
 
 class TestStructuralProperties:

@@ -1,0 +1,68 @@
+"""Every public module-level function and class of the package has a caller.
+
+A name counts as called when the program, the scripts or the benchmark refer
+to it anywhere outside its own definition and the package's re-exports.
+Tests do not count: nothing public exists only for its own tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "graphmem"
+CALLER_DIRS = ("src", "scripts", "perfbench")
+
+# Documented library entry points with no caller inside the repository.
+ALLOWED = {
+    "masked_objective": "the trainer-side objective value; the external trainer calls it",
+    "serialize_action": "the wire form a remote policy emits; README documents it",
+    "load_session": "reads the checkpoints that `run` writes with session_dir set",
+}
+
+
+def _public_definitions() -> dict[str, str]:
+    names = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        for node in ast.parse(module.read_text(encoding="utf-8")).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and not node.name.startswith("_"):
+                names[node.name] = module.name
+    return names
+
+
+def _referenced_names() -> set[str]:
+    """Every identifier read as a name or an attribute, or imported, in the
+    caller directories; definitions themselves are not references."""
+    seen = set()
+    for directory in CALLER_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            if path == PACKAGE / "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    seen.update(alias.name for alias in node.names)
+    return seen
+
+
+def test_every_public_name_has_a_caller():
+    referenced = _referenced_names()
+    unused = sorted(
+        f"{module}:{name}"
+        for name, module in _public_definitions().items()
+        if name not in referenced and name not in ALLOWED
+    )
+    assert unused == [], f"public names nothing calls: {unused}"
+
+
+def test_allowlist_names_exist_and_stay_uncalled():
+    definitions = _public_definitions()
+    referenced = _referenced_names()
+    for name in ALLOWED:
+        assert name in definitions, f"{name} is allowlisted but no longer defined"
+        assert name not in referenced, f"{name} now has a caller; drop it from ALLOWED"

@@ -24,7 +24,6 @@ from graphmem.retrieval import (
     RetrievalError,
     build_corpus,
     embed,
-    is_searchable,
     load_corpus,
     load_manifest,
     load_manifest_dir,
@@ -104,7 +103,7 @@ class TestEmbed:
 
     def test_empty_text_unsearchable(self):
         vector = embed("...---...")
-        assert not is_searchable(vector)
+        assert not vector.any()
         assert float(np.linalg.norm(vector)) == 0.0
 
     def test_case_fold_and_split(self):

@@ -25,7 +25,6 @@ from graphmem.training import (
     RolloutGroup,
     TrajectorySegment,
     TranscriptMismatch,
-    caption_overlap_matcher,
     detect_valuable_retrieval,
     export_training_batch,
     group_advantage,
@@ -129,15 +128,6 @@ class TestValuableRetrieval:
         # also contains it (6-unit corpus), so restrict to an id only cycle 2 hits
         hits = detect_valuable_retrieval(trajectory, {"nonexistent-doc"})
         assert hits == set()
-
-    def test_caption_overlap_matcher(self, toy_corpus):
-        trajectory = run_demo(toy_corpus)
-        hits = detect_valuable_retrieval(
-            trajectory,
-            {"the film solaris dawn was DIRECTED by mira chen"},
-            matcher=caption_overlap_matcher,
-        )
-        assert 1 in hits
 
 
 class TestPruningMask:
