@@ -169,15 +169,21 @@ def _read_queries(path: str) -> list[dict]:
 
 def _read_gold_manifest(path: str) -> dict[str, list[str]]:
     record = read_json(path, BadInputFile)
+    gold: dict[str, list[str]] = {}
     try:
-        return {
-            entry["query"]: list(entry.get("gold_evidence_ids", []))
-            for entry in record.get("entries", [])
-        }
+        for entry in record.get("entries", []):
+            ids = entry.get("gold_evidence_ids", [])
+            # a bare string would otherwise be split into its characters
+            if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+                raise BadInputFile(
+                    f"{path}: gold_evidence_ids must be a list of strings, got {ids!r}"
+                )
+            gold[entry["query"]] = ids
     except (AttributeError, KeyError, TypeError) as exc:
         raise BadInputFile(
             f'{path}: expected {{"entries": [{{"query": ..., "gold_evidence_ids": [...]}}]}}'
         ) from exc
+    return gold
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import logging
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -82,8 +84,9 @@ class CorpusItem:
         if not self.id:
             raise ValueError("corpus item id must be non-empty")
         if self.modality is Modality.VIDEO:
-            if self.duration_s is None or self.duration_s <= 0:
-                raise ValueError(f"video {self.id!r} needs duration_s > 0")
+            # a finite positive duration gives the video at least one clip
+            if self.duration_s is None or not 0 < self.duration_s < math.inf:
+                raise ValueError(f"video {self.id!r} needs a finite duration_s > 0")
         elif self.duration_s is not None:
             raise ValueError(f"non-video {self.id!r} must not carry a duration")
 
@@ -118,7 +121,8 @@ class Clip:
 
 @dataclass(frozen=True)
 class SearchUnit:
-    """One row of the index: a text doc, an image, or a video clip."""
+    """One search hit: a text doc, an image, or a video clip.  Its vector is
+    the index row of its item."""
 
     item_pos: int
     clip_pos: int | None = None  # set for video clips
@@ -126,9 +130,14 @@ class SearchUnit:
 
 @dataclass
 class Corpus:
+    """``index`` holds one row per item, so the clips of a video share one
+    row.  Item ``i`` owns ``units[first_unit[i]:first_unit[i + 1]]``; the
+    last entry of ``first_unit`` is ``len(units)``."""
+
     items: list[CorpusItem]
     clips: list[Clip]
     units: list[SearchUnit]
+    first_unit: list[int]
     index: np.ndarray
     embed_dim: int
     embed_seed: int
@@ -226,7 +235,7 @@ def build_corpus(
     embed_dim: int = EMBED_DIM_DEFAULT,
     embed_seed: int = EMBED_SEED_DEFAULT,
 ) -> Corpus:
-    """Segment videos into clips and embed every searchable unit.
+    """Segment videos into clips and embed every item once.
     Deterministic given the inputs."""
     items = list(items)
     seen: set[str] = set()
@@ -239,25 +248,24 @@ def build_corpus(
 
     clips: list[Clip] = []
     units: list[SearchUnit] = []
-    vectors: list[np.ndarray] = []
+    first_unit: list[int] = []
+    index = np.empty((len(items), embed_dim), dtype=np.float64)
     for pos, item in enumerate(items):
         # every clip of a video is indexed by the video's caption
-        vector = embed(item.content, embed_dim, embed_seed)
+        index[pos] = embed(item.content, embed_dim, embed_seed)
+        first_unit.append(len(units))
         if item.modality is Modality.VIDEO:
             for start, end in segment_video(item.duration_s, clip_len_s):
                 clips.append(Clip(item.id, start, end))
                 units.append(SearchUnit(item_pos=pos, clip_pos=len(clips) - 1))
-                vectors.append(vector)
         else:
             units.append(SearchUnit(item_pos=pos))
-            vectors.append(vector)
-    index = (
-        np.stack(vectors, axis=0) if vectors else np.zeros((0, embed_dim), dtype=np.float64)
-    )
+    first_unit.append(len(units))
     return Corpus(
         items=items,
         clips=clips,
         units=units,
+        first_unit=first_unit,
         index=index,
         embed_dim=embed_dim,
         embed_seed=embed_seed,
@@ -302,8 +310,14 @@ def search(
         raise EmptyIndex("corpus has no searchable units")
     query_vec = embed(query, corpus.embed_dim, corpus.embed_seed)
     scores = np.round(corpus.index @ query_vec, SCORE_DECIMALS)
-    # a stable sort keeps exact ties in insertion order
-    order = np.argsort(-scores, kind="stable")[:k].tolist()
+    # A stable sort keeps exact ties in insertion order.  An item's units are
+    # adjacent and tie exactly, so expanding the ranked items in order ranks
+    # the units; each item owns at least one unit, so k items suffice.
+    first = corpus.first_unit
+    ranked_items = np.argsort(-scores, kind="stable")[:k].tolist()
+    order = itertools.islice(
+        (unit for pos in ranked_items for unit in range(first[pos], first[pos + 1])), k
+    )
 
     observations: list[Observation] = []
     counters = {Modality.TEXT: 0, Modality.IMAGE: 0, Modality.VIDEO: 0}
@@ -324,7 +338,7 @@ def search(
                 id=f"{_MODALITY_LABEL[item.modality]} {counters[item.modality]}",
                 source_id=item.id,
                 modality=item.modality,
-                score=round(float(scores[unit_pos]), 6),
+                score=round(float(scores[unit.item_pos]), 6),
                 content=item.content,
                 asset_ref=item.asset_ref,
                 **clip_fields,
@@ -419,9 +433,21 @@ def load_corpus(path: str | Path) -> Corpus:
     if not isinstance(record, dict) or record.get("schema") != CORPUS_SCHEMA:
         raise BadManifest(f"{path}: expected a {CORPUS_SCHEMA!r} file")
     items = _items_from_record(record, str(path))
+    clip_len_s = record.get("clip_len_s")
+    embed_dim = record.get("embed_dim")
+    embed_seed = record.get("embed_seed")
+    if not (_is_int(clip_len_s) or isinstance(clip_len_s, float)) or not math.isfinite(clip_len_s):
+        raise BadManifest(f"{path}: 'clip_len_s' must be a finite number, got {clip_len_s!r}")
+    if not _is_int(embed_dim) or embed_dim < 1:
+        raise BadManifest(f"{path}: 'embed_dim' must be a positive integer, got {embed_dim!r}")
+    if not _is_int(embed_seed) or not 0 <= embed_seed < 2**64:
+        raise BadManifest(
+            f"{path}: 'embed_seed' must be an integer in [0, 2**64), got {embed_seed!r}"
+        )
     return build_corpus(
-        items,
-        clip_len_s=record["clip_len_s"],
-        embed_dim=record["embed_dim"],
-        embed_seed=record["embed_seed"],
+        items, clip_len_s=clip_len_s, embed_dim=embed_dim, embed_seed=embed_seed
     )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

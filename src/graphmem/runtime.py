@@ -135,8 +135,8 @@ def bundle_messages(
 
 class ChatCompletionsClient:
     """Thin client for a chat-completions style HTTP endpoint.  The auth
-    token is read from an environment variable; raw request/response pairs
-    are recorded for audit and replay."""
+    token is read from an environment variable.  Requests and responses are
+    not kept: a prompt can run to tens of thousands of characters per turn."""
 
     def __init__(
         self,
@@ -151,7 +151,6 @@ class ChatCompletionsClient:
         self.model = model
         self.token_env = token_env
         self.timeout_s = timeout_s
-        self.transcripts: list[dict] = []
         self._gate = threading.Semaphore(max_in_flight)
         self._session = requests.Session()
 
@@ -174,7 +173,6 @@ class ChatCompletionsClient:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise PolicyProtocolError(f"malformed chat-completions response: {exc}") from exc
-        self.transcripts.append({"request": payload, "response": data})
         return content
 
 

@@ -366,6 +366,22 @@ BAD_INPUTS = {
     ],
     "malformed gold manifest": lambda tmp: _prune_with_gold(tmp, "{not json"),
     "gold entry without query": lambda tmp: _prune_with_gold(tmp, '{"entries": [{}]}'),
+    "gold ids a string": lambda tmp: _prune_with_gold(
+        tmp, '{"entries": [{"query": "q", "gold_evidence_ids": "doc-director"}]}'
+    ),
+    "gold ids not strings": lambda tmp: _prune_with_gold(
+        tmp, '{"entries": [{"query": "q", "gold_evidence_ids": [1]}]}'
+    ),
+    "corpus without header fields": lambda tmp: [
+        "serve", "--corpus", _write(tmp / "c.json", '{"schema": "corpus/1", "items": []}'),
+    ],
+    "corpus embed_dim not an int": lambda tmp: [
+        "serve", "--corpus", _write(
+            tmp / "c.json",
+            '{"schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": "x", '
+            '"embed_seed": 9157, "items": []}',
+        ),
+    ],
     "queries line not JSON": lambda tmp: _run_batch(tmp, "not json\n"),
     "queries line without query": lambda tmp: _run_batch(tmp, '{"gold": "x"}\n'),
 }

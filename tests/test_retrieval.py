@@ -12,6 +12,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmem.canon import canonical_dumps
 from graphmem.energy import ItemModality
 from graphmem.retrieval import (
     BadClipLength,
@@ -65,18 +66,35 @@ class TestBuildCorpus:
         with pytest.raises(BadClipLength):
             build_corpus([CorpusItem("t", Modality.TEXT, "a")], clip_len_s=0)
 
+    MIXED_ITEMS = [
+        CorpusItem("v1", Modality.VIDEO, "red car chase", duration_s=150.0),
+        CorpusItem("t", Modality.TEXT, "blue sky"),
+        CorpusItem("v2", Modality.VIDEO, "...", duration_s=200.0),
+        CorpusItem("i", Modality.IMAGE, "red car"),
+    ]
+
     def test_every_row_is_its_items_embedding(self):
-        items = [
-            CorpusItem("v1", Modality.VIDEO, "red car chase", duration_s=150.0),
-            CorpusItem("t", Modality.TEXT, "blue sky"),
-            CorpusItem("v2", Modality.VIDEO, "...", duration_s=200.0),
-            CorpusItem("i", Modality.IMAGE, "red car"),
-        ]
-        corpus = build_corpus(items, clip_len_s=60.0)
+        corpus = build_corpus(self.MIXED_ITEMS, clip_len_s=60.0)
+        assert len(corpus.index) == len(self.MIXED_ITEMS)
+        for item, row in zip(self.MIXED_ITEMS, corpus.index):
+            assert row.tobytes() == embed(item.content).tobytes()
+
+    def test_units_share_their_items_row(self):
+        corpus = build_corpus(self.MIXED_ITEMS, clip_len_s=60.0)
         assert len(corpus.units) == 3 + 1 + 4 + 1
-        for unit, row in zip(corpus.units, corpus.index):
-            expected = embed(items[unit.item_pos].content)
-            assert row.tobytes() == expected.tobytes()
+        for unit in corpus.units:
+            expected = embed(self.MIXED_ITEMS[unit.item_pos].content)
+            assert corpus.index[unit.item_pos].tobytes() == expected.tobytes()
+        # first_unit partitions the units, in item order
+        assert corpus.first_unit == [0, 3, 4, 8, 9]
+        for pos, (lo, hi) in enumerate(zip(corpus.first_unit, corpus.first_unit[1:])):
+            assert lo < hi
+            assert all(unit.item_pos == pos for unit in corpus.units[lo:hi])
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_video_needs_finite_positive_duration(self, duration):
+        with pytest.raises(ValueError):
+            CorpusItem("v", Modality.VIDEO, "caption", duration_s=duration)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -222,6 +240,76 @@ class TestSearch:
         assert got == [(units[i][0].id, units[i][1]) for i in oracle]
 
 
+def per_unit_search(items, clip_len_s, dim, query, k, n_frames=8):
+    """Search as it ran over one index row per unit: stack a vector for every
+    unit and rank the units with a stable argsort."""
+    units = []
+    for item in items:
+        if item.modality is Modality.VIDEO:
+            units += [
+                (item, Clip(item.id, start, end))
+                for start, end in segment_video(item.duration_s, clip_len_s)
+            ]
+        else:
+            units.append((item, None))
+    index = np.stack([embed(item.content, dim) for item, _ in units])
+    scores = np.round(index @ embed(query, dim), 12)
+    counters = {modality: 0 for modality in Modality}
+    observations = []
+    for pos in np.argsort(-scores, kind="stable")[:k].tolist():
+        item, clip = units[pos]
+        counters[item.modality] += 1
+        record = {
+            "id": f"{item.modality.value.capitalize()} {counters[item.modality]}",
+            "source_id": item.id,
+            "modality": item.modality.value,
+            "score": round(float(scores[pos]), 6),
+            "content": item.content,
+            "asset_ref": item.asset_ref,
+        }
+        if clip is not None:
+            record["clip_start_s"] = clip.start_s
+            record["clip_end_s"] = clip.end_s
+            record["frames"] = [[ts, ref] for ts, ref in sample_frames(clip, n_frames)]
+        observations.append(record)
+    return observations, len(units)
+
+
+CAPTIONS = st.one_of(
+    st.just(""),
+    st.just("..."),
+    st.lists(st.sampled_from(["red", "car", "sky", "blue", "dusk"]), max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def mixed_items(draw):
+    items = []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        caption = draw(CAPTIONS)
+        modality = draw(st.sampled_from(list(Modality)))
+        duration = (
+            draw(st.floats(min_value=0.5, max_value=300.0))
+            if modality is Modality.VIDEO
+            else None
+        )
+        items.append(CorpusItem(f"x{i}", modality, caption, duration_s=duration))
+    return items
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_items(), CAPTIONS)
+def test_item_ranking_equals_per_unit_ranking(items, query):
+    # 16 dims make hash collisions, so distinct captions tie too
+    corpus = build_corpus(items, clip_len_s=60.0, embed_dim=16)
+    n_units = len(corpus.units)
+    for k in range(1, n_units + 3):
+        expected, total = per_unit_search(items, 60.0, 16, query, k)
+        assert total == n_units
+        got = [obs.to_dict() for obs in search(corpus, query, k)]
+        assert canonical_dumps(got) == canonical_dumps(expected)
+
+
 class TestFrames:
     def test_uniform_grid(self):
         clip = Clip("v", 0.0, 60.0)
@@ -310,6 +398,45 @@ class TestPersistence:
         save_corpus(reloaded, path2)
         assert path1.read_bytes() == path2.read_bytes()
         assert np.array_equal(reloaded.index, toy_corpus.index)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("clip_len_s", None),
+            ("clip_len_s", "60"),
+            ("clip_len_s", True),
+            ("clip_len_s", float("inf")),
+            ("embed_dim", None),
+            ("embed_dim", "x"),
+            ("embed_dim", 0),
+            ("embed_dim", 16.0),
+            ("embed_dim", True),
+            ("embed_seed", None),
+            ("embed_seed", -1),
+            ("embed_seed", 2**64),
+            ("embed_seed", 1.5),
+            ("embed_seed", False),
+        ],
+    )
+    def test_bad_corpus_header(self, tmp_path, field, value):
+        record = {"schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": 16,
+                  "embed_seed": 2**64 - 1, "items": []}
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(BadManifest, match=field):
+            load_corpus(path)
+
+    def test_corpus_header_bounds_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema": "corpus/1", "clip_len_s": 30, "embed_dim": 1,
+                                    "embed_seed": 2**64 - 1, "items": []}), encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.index.shape == (0, 1)
+        assert corpus.first_unit == [0]
 
 
 class TestSearchServer:

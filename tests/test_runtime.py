@@ -261,7 +261,7 @@ class TestRemotePolicy:
                 RemotePolicy(client), toy_corpus, DEMO_QUERY, demo_config()
             )
             assert trajectory.answer_text == "Mira Chen, 2019"
-            assert len(client.transcripts) == 5
+            assert len(stub.requests) == 5
             assert stub.auth_headers[0] == "Bearer secret-token"
             first = stub.requests[0]["messages"]
             assert first[0]["role"] == "system"
