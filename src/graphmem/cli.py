@@ -10,9 +10,11 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
+from typing import Callable
 
-from .canon import canonical_dumps, read_json, read_text, sha256_hex
+from .canon import canonical_dumps, read_json, read_text
 from .config import Config, ConfigError, dump_config, load_config
 from .errors import DomainError
 from .retrieval import (
@@ -52,19 +54,25 @@ class BadInputFile(DomainError):
     code = "BadInputFile"
 
 
-def _build_policy(config: Config) -> Policy:
+def _policy_source(config: Config, clients: ExitStack) -> Callable[[], Policy]:
+    """Policy for each episode of a run.  A scripted policy holds a cursor,
+    so each episode gets its own; a remote one is shared, so its client's
+    connections and in-flight gate serve the whole run."""
     if config.policy_mode == "scripted":
-        return ScriptedPolicy.from_file(config.require("policy_script"))
+        script = config.require("policy_script")
+        return lambda: ScriptedPolicy.from_file(script)
     client = ChatCompletionsClient(
         config.require("policy_base_url"),
         config.require("policy_model"),
         token_env=config.policy_token_env,
         timeout_s=config.policy_timeout_s,
     )
-    return RemotePolicy(client)
+    clients.callback(client.close)
+    policy = RemotePolicy(client)
+    return lambda: policy
 
 
-def _build_judge(config: Config):
+def _build_judge(config: Config, clients: ExitStack) -> ExactMatchJudge | RemoteJudge:
     if config.judge_mode == "exact":
         return ExactMatchJudge()
     client = ChatCompletionsClient(
@@ -72,6 +80,7 @@ def _build_judge(config: Config):
         config.require("judge_model"),
         token_env=config.judge_token_env,
     )
+    clients.callback(client.close)
     return RemoteJudge(client)
 
 
@@ -100,18 +109,23 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
 
 
 def _run_one(
-    config: Config, corpus: Corpus, query: str, gold: str | None, out_path: Path
+    config: Config,
+    corpus: Corpus,
+    policy: Policy,
+    judge: ExactMatchJudge | RemoteJudge,
+    index: int,
+    query: str,
+    gold: str | None,
+    out_path: Path,
 ) -> tuple[Trajectory, int | None]:
-    policy = _build_policy(config)
     state = SessionState.new(query)
     trajectory = run_episode(policy, corpus, query, config.episode_config(), resume=state)
     if config.session_dir:
         session_dir = Path(config.session_dir)
         session_dir.mkdir(parents=True, exist_ok=True)
-        save_session(state, session_dir / f"session_{sha256_hex(query)[:12]}.json")
+        save_session(state, session_dir / f"session_{index:04d}.json")
     verdict: int | None = None
     if gold is not None and trajectory.answer_text is not None:
-        judge = _build_judge(config)
         try:
             verdict = judge.judge(query, gold, trajectory.answer_text)
         except JudgeError as exc:
@@ -190,33 +204,39 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args.set or [])
     corpus = _load_corpus(config)
     out_dir = Path(args.out_dir or config.output_dir)
+    with ExitStack() as clients:
+        new_policy = _policy_source(config, clients)
+        judge = _build_judge(config, clients)
 
-    if args.query is not None:
-        out_path = Path(args.out) if args.out else out_dir / "trajectory.jsonl"
-        trajectory, verdict = _run_one(config, corpus, args.query, args.gold, out_path)
-        status = "answered" if trajectory.answer_text is not None else "truncated"
-        verdict_text = "absent" if verdict is None else str(verdict)
-        print(
-            f"{status} after {len(trajectory.records)} cycles; "
-            f"verdict {verdict_text} -> {out_path}"
-        )
-        return 0
+        if args.query is not None:
+            out_path = Path(args.out) if args.out else out_dir / "trajectory.jsonl"
+            trajectory, verdict = _run_one(
+                config, corpus, new_policy(), judge, 0, args.query, args.gold, out_path
+            )
+            status = "answered" if trajectory.answer_text is not None else "truncated"
+            verdict_text = "absent" if verdict is None else str(verdict)
+            print(
+                f"{status} after {len(trajectory.records)} cycles; "
+                f"verdict {verdict_text} -> {out_path}"
+            )
+            return 0
 
-    entries = _read_queries(args.queries)
+        entries = _read_queries(args.queries)
 
-    def run_entry(indexed: tuple[int, dict]) -> str:
-        index, entry = indexed
-        out_path = out_dir / f"trajectory_{index:04d}.jsonl"
-        trajectory, verdict = _run_one(
-            config, corpus, entry["query"], entry.get("gold"), out_path
-        )
-        status = "answered" if trajectory.answer_text is not None else "truncated"
-        verdict_text = "absent" if verdict is None else str(verdict)
-        return f"[{index}] {status}, verdict {verdict_text} -> {out_path}"
+        def run_entry(indexed: tuple[int, dict]) -> str:
+            index, entry = indexed
+            out_path = out_dir / f"trajectory_{index:04d}.jsonl"
+            trajectory, verdict = _run_one(
+                config, corpus, new_policy(), judge, index, entry["query"], entry.get("gold"),
+                out_path,
+            )
+            status = "answered" if trajectory.answer_text is not None else "truncated"
+            verdict_text = "absent" if verdict is None else str(verdict)
+            return f"[{index}] {status}, verdict {verdict_text} -> {out_path}"
 
-    with ThreadPoolExecutor(max_workers=max(1, args.parallel)) as pool:
-        for line in pool.map(run_entry, enumerate(entries)):
-            print(line)
+        with ThreadPoolExecutor(max_workers=max(1, args.parallel)) as pool:
+            for line in pool.map(run_entry, enumerate(entries)):
+                print(line)
     return 0
 
 

@@ -12,6 +12,7 @@ determine the trajectory bytes.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -20,8 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .canon import canonical_dumps, normalize_text, read_json, read_text
 from .energy import BudgetAssignment, EnergyParams, ItemModality, VisualItem, shape_memory
@@ -58,6 +58,13 @@ class EpisodeError(DomainError):
 
 class PolicyProtocolError(EpisodeError):
     code = "PolicyProtocolError"
+
+
+class PolicyUnreachable(EpisodeError):
+    """The endpoint could not be reached, dropped the call, or answered
+    with a non-2xx status."""
+
+    code = "PolicyUnreachable"
 
 
 class IllegalTransition(EpisodeError):
@@ -133,10 +140,18 @@ def bundle_messages(
     return messages
 
 
+# How a kept-alive connection that the server closed while idle fails before
+# any reply byte arrives; only these are retried, once, on a fresh connection.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
 class ChatCompletionsClient:
-    """Thin client for a chat-completions style HTTP endpoint.  The auth
-    token is read from an environment variable.  Requests and responses are
-    not kept: a prompt can run to tens of thousands of characters per turn."""
+    """Thin client for a chat-completions style HTTP endpoint.  Each calling
+    thread keeps one connection alive, so one client can serve parallel
+    episodes, and ``max_in_flight`` bounds the calls open at once across
+    them.  The auth token is read from an environment variable.  Requests
+    and responses are not kept: a prompt can run to tens of thousands of
+    characters per turn."""
 
     def __init__(
         self,
@@ -152,28 +167,73 @@ class ChatCompletionsClient:
         self.token_env = token_env
         self.timeout_s = timeout_s
         self._gate = threading.Semaphore(max_in_flight)
-        self._session = requests.Session()
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._url = f"{self.base_url}/chat/completions"
+        parts = urlsplit(self._url)
+        try:
+            self._port = parts.port
+        except ValueError as exc:
+            raise PolicyUnreachable(f"bad endpoint URL {base_url!r}: {exc}") from exc
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise PolicyUnreachable(f"endpoint URL must be http(s)://host..., got {base_url!r}")
+        self._host = parts.hostname
+        self._path = parts.path
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
 
     def complete(self, messages: list[dict]) -> str:
         payload = {"model": self.model, "messages": messages}
-        headers = {}
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.token_env, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
         with self._gate:
-            response = self._session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-        response.raise_for_status()
-        data = response.json()
+            status, reply = self._post(body, headers)
+        if not 200 <= status < 300:
+            raise PolicyUnreachable(f"POST {self._url} answered HTTP {status}")
+        try:
+            data = json.loads(reply)
+        except ValueError as exc:
+            raise PolicyProtocolError(f"chat-completions response is not JSON: {exc}") from exc
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise PolicyProtocolError(f"malformed chat-completions response: {exc}") from exc
         return content
+
+    def close(self) -> None:
+        """Close every thread's connection.  A later call opens a new one."""
+        for conn in self._connections:
+            conn.close()
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One POST over this thread's connection, which opens again on its
+        own after a close.  A reused connection that fails before the reply
+        starts is retried once on a fresh one; any other failure raises."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(
+                self._host, self._port, timeout=self.timeout_s
+            )
+            self._connections.append(conn)
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._path, body=body, headers=headers)
+                response = conn.getresponse()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if reused and isinstance(exc, _STALE_CONNECTION):
+                    continue
+                raise PolicyUnreachable(f"POST {self._url} failed: {exc!r}") from exc
+            try:
+                return response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise PolicyUnreachable(f"POST {self._url} reply cut off: {exc!r}") from exc
 
 
 class RemotePolicy(Policy):
@@ -232,7 +292,7 @@ class RemoteJudge:
         ]
         try:
             content = self.client.complete(messages)
-        except (requests.RequestException, PolicyProtocolError) as exc:
+        except (PolicyUnreachable, PolicyProtocolError) as exc:
             raise JudgeError(f"judge endpoint failed: {exc}") from exc
         match = _JUDGE_RE.search(content)
         if match is None:

@@ -8,9 +8,14 @@ vs. the numpy matrix path).
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import socket
+import struct
+import threading
 from collections import defaultdict
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from graphmem.energy import EnergyParams, ItemModality, VisualItem
 from graphmem.graph import MemoryGraph, NodeKind, new_graph
@@ -263,14 +268,39 @@ def brute_force_mu(reward: int, node_index, critical_path, r_val) -> int:
 # -- stub endpoints --------------------------------------------------------------
 
 
-class StubChatServer:
+def chat_reply(content: str) -> bytes:
+    """A chat-completions response body carrying ``content``."""
+    return json.dumps(
+        {"choices": [{"message": {"role": "assistant", "content": content}}]}
+    ).encode("utf-8")
+
+
+class _ThreadedServer:
+    """Serves ``self.server`` from a daemon thread inside a ``with`` block."""
+
+    server: ThreadingHTTPServer
+
+    @property
+    def base_url(self) -> str:
+        host, port = self.server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def __enter__(self):
+        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()
+        self._thread.join(timeout=5)
+
+
+class StubChatServer(_ThreadedServer):
     """Local chat-completions endpoint replaying canned contents in order;
     records every request payload and auth header."""
 
     def __init__(self, contents: list[str]):
-        import json as _json
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
         self.requests: list[dict] = []
         self.auth_headers: list[str | None] = []
         contents_iter = iter(contents)
@@ -282,7 +312,7 @@ class StubChatServer:
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
-                payload = _json.loads(self.rfile.read(length).decode("utf-8"))
+                payload = json.loads(self.rfile.read(length).decode("utf-8"))
                 outer.requests.append(payload)
                 outer.auth_headers.append(self.headers.get("Authorization"))
                 if self.path != "/chat/completions":
@@ -295,9 +325,7 @@ class StubChatServer:
                     self.send_response(500)
                     self.end_headers()
                     return
-                body = _json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": content}}]}
-                ).encode("utf-8")
+                body = chat_reply(content)
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
@@ -306,22 +334,52 @@ class StubChatServer:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
 
-    @property
-    def base_url(self) -> str:
-        host, port = self.server.server_address[:2]
-        return f"http://{host}:{port}"
 
-    def __enter__(self):
-        import threading
+class KeepAliveStub(_ThreadedServer):
+    """Local HTTP/1.1 endpoint that keeps connections alive and counts them.
+    ``respond(n)`` answers the n-th request (from 0) with ``(status, body)``,
+    with ``(status, body, "close")`` to close the connection after the reply
+    without announcing it (as an idle timeout does), or with ``None`` to reset
+    the connection before any reply byte.  Records each request's headers."""
 
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self._thread.start()
-        return self
+    def __init__(self, respond):
+        self.connections = 0
+        self.headers: list[dict[str, str]] = []
+        lock = threading.Lock()
+        outer = self
 
-    def __exit__(self, *exc):
-        self.server.shutdown()
-        self.server.server_close()
-        self._thread.join(timeout=5)
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, fmt, *args):
+                pass
+
+            def setup(self):
+                super().setup()
+                with lock:
+                    outer.connections += 1
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", "0")))
+                with lock:
+                    n = len(outer.headers)
+                    outer.headers.append(dict(self.headers))
+                answer = respond(n)
+                self.close_connection = answer is None or len(answer) == 3
+                if answer is None:
+                    # with linger 0, closing the socket sends a reset
+                    self.connection.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                    return
+                status, body = answer[:2]
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
 
 
 # -- cosine oracle --------------------------------------------------------------

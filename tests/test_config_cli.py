@@ -1,4 +1,5 @@
 import json
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from graphmem.cli import main
 from graphmem.config import Config, ConfigError, dump_config, load_config
+from helpers import KeepAliveStub, chat_reply
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -173,6 +175,18 @@ class TestRun:
         assert state.graph.is_terminal
         assert state.policy_calls == 5
 
+    def test_repeated_batch_queries_keep_every_session(self, tmp_path, capsys):
+        config = write_demo_config(tmp_path, session_dir=str(tmp_path / "sessions"))
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text((json.dumps({"query": DEMO_QUERY}) + "\n") * 2, encoding="utf-8")
+        code = main([
+            "run", "--config", str(config), "--queries", str(queries),
+            "--out-dir", str(tmp_path / "batch"),
+        ])
+        assert code == 0
+        saved = sorted(p.name for p in (tmp_path / "sessions").iterdir())
+        assert saved == ["session_0000.json", "session_0001.json"]
+
     def test_batch_queries_parallel(self, tmp_path, capsys):
         config = write_demo_config(tmp_path)
         queries = tmp_path / "queries.jsonl"
@@ -189,6 +203,66 @@ class TestRun:
         assert code == 0
         produced = tmp_path / "batch" / "trajectory_0000.jsonl"
         assert produced.read_bytes() == (GOLDEN / "demo_trajectory.jsonl").read_bytes()
+
+
+def closed_port_url() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class TestRemoteRun:
+    def remote_config(self, tmp_path, base_url: str) -> Path:
+        return write_demo_config(
+            tmp_path, policy_mode="remote", policy_base_url=base_url,
+            policy_model="test-model", policy_timeout_s=5,
+        )
+
+    @pytest.mark.parametrize(
+        "respond, code",
+        [
+            (None, "PolicyUnreachable"),
+            (lambda n: (500, b"overloaded"), "PolicyUnreachable"),
+            (lambda n: (200, b"<html>not json</html>"), "PolicyProtocolError"),
+        ],
+        ids=["closed-port", "http-500", "not-json"],
+    )
+    def test_policy_failure_is_one_typed_line(self, tmp_path, capsys, respond, code):
+        def run(base_url: str) -> int:
+            config = self.remote_config(tmp_path, base_url)
+            return main(["run", "--config", str(config), "--query", DEMO_QUERY])
+
+        if respond is None:
+            exit_code = run(closed_port_url())
+        else:
+            with KeepAliveStub(respond) as stub:
+                exit_code = run(stub.base_url)
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{code}]: ")
+        assert err.count("\n") == 1
+
+    def test_one_client_serves_the_whole_batch(self, tmp_path, capsys):
+        script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text((json.dumps({"query": DEMO_QUERY}) + "\n") * 3, encoding="utf-8")
+        with KeepAliveStub(lambda n: (200, chat_reply(script[n % len(script)]))) as stub:
+            config = self.remote_config(tmp_path, stub.base_url)
+            code = main([
+                "run", "--config", str(config), "--queries", str(queries),
+                "--out-dir", str(tmp_path / "batch"),
+            ])
+        assert code == 0
+        assert len(stub.headers) == 3 * len(script)
+        assert stub.connections == 1
+        golden = (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8")
+        for index in range(3):
+            produced = (tmp_path / "batch" / f"trajectory_{index:04d}.jsonl").read_text(
+                encoding="utf-8"
+            )
+            # the golden was judged; this run had no gold
+            assert produced.splitlines()[1:] == golden.splitlines()[1:]
 
 
 class TestPrune:
@@ -406,3 +480,12 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "corpus" in result.stdout and "prune" in result.stdout
+
+
+def test_cli_import_leaves_out_requests():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, graphmem.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

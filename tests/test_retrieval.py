@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -439,6 +438,18 @@ class TestPersistence:
         assert corpus.first_unit == [0]
 
 
+def post_json(address, path: str, body) -> tuple[int, dict]:
+    """POST ``body`` (raw text, or an object sent as JSON) on a fresh
+    connection; return the status and the decoded reply."""
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        conn.request("POST", path, body=body if isinstance(body, str) else json.dumps(body))
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 class TestSearchServer:
     @pytest.fixture
     def server_address(self, toy_corpus):
@@ -453,16 +464,16 @@ class TestSearchServer:
             thread.join(timeout=5)
 
     def test_post_search(self, server_address):
-        host, port = server_address
-        url = f"http://{host}:{port}/search"
-        response = requests.post(url, json={"query": "who directed Solaris Dawn film", "k": 2})
-        assert response.status_code == 200
-        results = response.json()["results"]
+        status, reply = post_json(
+            server_address, "/search", {"query": "who directed Solaris Dawn film", "k": 2}
+        )
+        assert status == 200
+        results = reply["results"]
         assert len(results) == 2
         assert results[0]["source_id"] == "doc-director"
 
-        assert requests.post(url, json={"nope": 1}).status_code == 400
-        assert requests.post(f"http://{host}:{port}/other", json={}).status_code == 404
+        assert post_json(server_address, "/search", {"nope": 1})[0] == 400
+        assert post_json(server_address, "/other", {})[0] == 404
 
     @pytest.mark.parametrize(
         "body",
@@ -470,10 +481,9 @@ class TestSearchServer:
         ids=["array", "string", "number", "null", "k-list"],
     )
     def test_non_object_body_rejected(self, server_address, body):
-        host, port = server_address
-        response = requests.post(f"http://{host}:{port}/search", data=body, timeout=5)
-        assert response.status_code == 400
-        assert response.json()["error"].startswith("bad request")
+        status, reply = post_json(server_address, "/search", body)
+        assert status == 400
+        assert reply["error"].startswith("bad request")
 
     @pytest.mark.parametrize("length", ["-1", "abc"])
     def test_bad_content_length_rejected(self, server_address, length):
@@ -490,12 +500,10 @@ class TestSearchServer:
             make_search_server(toy_corpus, default_k=default_k)
 
     def test_k_above_cap_rejected(self, server_address):
-        host, port = server_address
-        url = f"http://{host}:{port}/search"
-        response = requests.post(url, json={"query": "solaris", "k": MAX_K + 1}, timeout=5)
-        assert response.status_code == 400
-        assert str(MAX_K) in response.json()["error"]
-        assert requests.post(url, json={"query": "solaris", "k": MAX_K}, timeout=5).ok
+        status, reply = post_json(server_address, "/search", {"query": "solaris", "k": MAX_K + 1})
+        assert status == 400
+        assert str(MAX_K) in reply["error"]
+        assert post_json(server_address, "/search", {"query": "solaris", "k": MAX_K})[0] == 200
 
     def test_short_body_times_out_quietly(self, server_address, capsys):
         head = "POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"

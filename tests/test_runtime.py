@@ -25,6 +25,7 @@ from graphmem.runtime import (
     IllegalTransition,
     JudgeError,
     PolicyProtocolError,
+    PolicyUnreachable,
     RemoteJudge,
     RemotePolicy,
     ScriptedPolicy,
@@ -38,7 +39,7 @@ from graphmem.runtime import (
     save_session,
     save_trajectory,
 )
-from helpers import StubChatServer
+from helpers import KeepAliveStub, StubChatServer, chat_reply
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -279,6 +280,87 @@ class TestRemotePolicy:
             )
         scripted = run_demo(toy_corpus)
         assert remote.to_jsonl() == scripted.to_jsonl()
+
+
+class TestChatCompletionsClient:
+    MESSAGES = [{"role": "user", "content": "hi"}]
+
+    @pytest.fixture
+    def connect(self):
+        clients = []
+
+        def connect(stub: KeepAliveStub, **kwargs) -> ChatCompletionsClient:
+            client = ChatCompletionsClient(stub.base_url, "test-model", timeout_s=5, **kwargs)
+            clients.append(client)
+            return client
+
+        yield connect
+        for client in clients:
+            client.close()
+
+    def test_calls_reuse_one_connection(self, connect):
+        with KeepAliveStub(lambda n: (200, chat_reply(f"reply {n}"))) as stub:
+            client = connect(stub)
+            assert client.complete(self.MESSAGES) == "reply 0"
+            assert client.complete(self.MESSAGES) == "reply 1"
+        assert stub.connections == 1
+        assert stub.headers[0]["Content-Type"] == "application/json"
+
+    def test_reconnects_once_after_idle_close(self, connect):
+        with KeepAliveStub(lambda n: (200, chat_reply(f"reply {n}"), "close")) as stub:
+            client = connect(stub)
+            assert client.complete(self.MESSAGES) == "reply 0"
+            # the server has closed the kept-alive connection; the client
+            # finds out only when it sends on it
+            assert client.complete(self.MESSAGES) == "reply 1"
+        assert stub.connections == 2
+        assert len(stub.headers) == 2
+
+    @pytest.mark.parametrize("good_replies", [0, 1])
+    def test_reset_connections_unreachable_after_two_attempts(self, connect, good_replies):
+        def respond(n: int):
+            return (200, chat_reply("ok")) if n < good_replies else None
+
+        with KeepAliveStub(respond) as stub:
+            client = connect(stub)
+            for _ in range(good_replies):
+                assert client.complete(self.MESSAGES) == "ok"
+            with pytest.raises(PolicyUnreachable):
+                client.complete(self.MESSAGES)
+        # a fresh connection that fails is not retried; a reused one once
+        attempts = len(stub.headers) - good_replies
+        assert attempts == 1 + good_replies
+        assert stub.connections == 1 + good_replies
+
+    def test_auth_header_only_when_token_set(self, connect, monkeypatch):
+        monkeypatch.delenv("GRAPHMEM_TEST_TOKEN", raising=False)
+        with KeepAliveStub(lambda n: (200, chat_reply("ok"))) as stub:
+            client = connect(stub, token_env="GRAPHMEM_TEST_TOKEN")
+            client.complete(self.MESSAGES)
+            monkeypatch.setenv("GRAPHMEM_TEST_TOKEN", "secret")
+            client.complete(self.MESSAGES)
+        assert "Authorization" not in stub.headers[0]
+        assert stub.headers[1]["Authorization"] == "Bearer secret"
+
+    @pytest.mark.parametrize(
+        "answer, error",
+        [
+            ((500, b"overloaded"), PolicyUnreachable),
+            ((404, chat_reply("ok")), PolicyUnreachable),
+            ((200, b"<html>"), PolicyProtocolError),
+            ((200, b'{"choices": []}'), PolicyProtocolError),
+        ],
+        ids=["500", "404", "not-json", "no-choices"],
+    )
+    def test_bad_answers_are_typed(self, connect, answer, error):
+        with KeepAliveStub(lambda n: answer) as stub:
+            with pytest.raises(error):
+                connect(stub).complete(self.MESSAGES)
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1", "127.0.0.1:8000", "http://host:port"])
+    def test_bad_url_is_typed(self, url):
+        with pytest.raises(PolicyUnreachable):
+            ChatCompletionsClient(url, "test-model")
 
 
 class TestSessions:
