@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -356,6 +359,42 @@ class TestChatCompletionsClient:
         with KeepAliveStub(lambda n: answer) as stub:
             with pytest.raises(error):
                 connect(stub).complete(self.MESSAGES)
+
+    def test_threads_share_one_client(self, connect):
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, most seen
+
+        def respond(n: int):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            time.sleep(0.002)
+            with lock:
+                in_flight[0] -= 1
+            return 200, chat_reply(f"reply {n}")
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with KeepAliveStub(respond) as stub:
+                client = connect(stub, max_in_flight=2)
+                replies: list[str] = []
+
+                def worker() -> None:
+                    for _ in range(5):
+                        replies.append(client.complete(self.MESSAGES))
+
+                threads = [threading.Thread(target=worker) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(replies) == sorted(f"reply {n}" for n in range(30))
+        assert stub.connections == 6  # one per thread
+        assert in_flight[1] <= 2
 
     @pytest.mark.parametrize("url", ["ftp://127.0.0.1", "127.0.0.1:8000", "http://host:port"])
     def test_bad_url_is_typed(self, url):
