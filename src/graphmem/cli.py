@@ -14,7 +14,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable
 
-from .canon import canonical_dumps, read_json, read_text
+from .canon import canonical_dumps, read_json, read_text, write_text_atomic
 from .config import Config, ConfigError, dump_config, load_config
 from .errors import DomainError
 from .retrieval import (
@@ -234,10 +234,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             verdict_text = "absent" if verdict is None else str(verdict)
             return f"[{index}] {status}, verdict {verdict_text} -> {out_path}"
 
+        failed = 0
         with ThreadPoolExecutor(max_workers=max(1, args.parallel)) as pool:
-            for line in pool.map(run_entry, enumerate(entries)):
-                print(line)
-    return 0
+            futures = [pool.submit(run_entry, indexed) for indexed in enumerate(entries)]
+            for index, future in enumerate(futures):
+                try:
+                    print(future.result())
+                except DomainError as exc:
+                    failed += 1
+                    print(f"error [{exc.code}]: [{index}] {exc}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
@@ -257,10 +263,10 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
     batch_path = Path(args.out_batch)
     batch_path.parent.mkdir(parents=True, exist_ok=True)
-    batch_path.write_text(export_training_batch(groups), encoding="utf-8")
+    write_text_atomic(batch_path, export_training_batch(groups))
     audit_text = "\n".join(audits)
     if args.out_audit:
-        Path(args.out_audit).write_text(audit_text, encoding="utf-8")
+        write_text_atomic(args.out_audit, audit_text)
     print(audit_text, end="")
     total = sum(len(r.segments) for g in groups for r in g.rollouts)
     masked = sum(
@@ -297,7 +303,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     }
     payload = {"episodes": reports, "summary": summary, "token_proxy_note": "chars/4 proxy"}
     if args.out:
-        Path(args.out).write_text(canonical_dumps(payload) + "\n", encoding="utf-8")
+        write_text_atomic(args.out, canonical_dumps(payload) + "\n")
     for report in reports:
         print(
             f"{report['query'][:60]!r}: {report['cycles']} cycles "
@@ -313,17 +319,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     corpus = load_corpus(args.corpus)
     server = make_search_server(
         corpus, host=args.host, port=args.port, default_k=args.k, n_frames=args.n_frames
     )
     host, port = server.server_address[:2]
-    print(f"serving POST /search on http://{host}:{port}")
+    # SIGTERM stops the server as SIGINT does, so a parent that has SIGINT
+    # ignored (a background job) can still shut it down cleanly
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    print(f"serving POST /search on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
     return 0
 

@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .canon import Stamped
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -40,13 +41,14 @@ class ItemModality(str, Enum):
 
 
 @dataclass
-class VisualItem:
+class VisualItem(Stamped):
     """One entry of the graph's memory bank.
 
     ``ordinal`` is the item's position in the bank, ``owner_node``/``slot``
     locate it on the graph (identity fields may be -1 on seeds that have not
     been attached yet), ``payload_ref`` is an opaque pointer into the asset
-    store; raw pixels never live here.
+    store; raw pixels never live here.  Each write stamps the item, so
+    :meth:`MemoryGraph.linearize` serializes it again only after a change.
     """
 
     ordinal: int

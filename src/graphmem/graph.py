@@ -10,17 +10,18 @@ and refuses further mutation.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .canon import canonical_dumps, normalize_text
+from .canon import Stamped, canonical_dumps, normalize_text
 from .energy import VisualItem
 from .errors import DomainError
 
 GRAPH_SCHEMA = "memory-graph/1"
 ROOT_TITLE = "root"
+# linearize's cache entry for a node position it has not rendered yet
+_NO_LINE = (None, "", "", None, "")
 
 
 class GraphError(DomainError):
@@ -78,9 +79,11 @@ class NodeKind(str, Enum):
 
 
 @dataclass
-class MemoryNode:
+class MemoryNode(Stamped):
     """One epistemic state: where it hangs (parents), what was asked (query),
-    what was learned (summary), and which bank items back it up (items)."""
+    what was learned (summary), and which bank items back it up (items).
+    Each write stamps the node, so :meth:`MemoryGraph.linearize` renders it
+    again only after a change."""
 
     index: int
     kind: NodeKind
@@ -129,11 +132,20 @@ class MemoryGraph:
     nodes: list[MemoryNode] = field(default_factory=list)
     memory_bank: list[VisualItem] = field(default_factory=list)
     step: int = 0
-    # linearize's rendered node lines from its last call, keyed by the
-    # pickled record each line was serialized from
-    _node_lines: dict[bytes, str] = field(
+    # linearize's reusable output, keyed by write stamps: node position ->
+    # (node key, text before the item fragments, text after them, item
+    # stamps, line), and bank position -> (item stamp, item fragment)
+    _node_lines: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _item_lines: dict[int, tuple[int, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # the caches are keyed by stamps from this process's counter, which
+        # another process may issue again: copies start without them
+        return {**self.__dict__, "_node_lines": {}, "_item_lines": {}}
 
     # -- reads ------------------------------------------------------------
 
@@ -192,13 +204,16 @@ class MemoryGraph:
         render distinctly (all node and item fields participate; items not
         yet attached to a node show up only in the header's bank count).
 
-        A node whose record is unchanged since the previous call reuses the
-        line rendered then, so only the header and the nodes that changed
-        are serialized again.  Shaping keeps at most top-K items live and
-        eviction is permanent, so most nodes of a deep graph stop changing.
-        The reuse test compares pickled records: pickle writes ``True``,
-        ``1`` and ``1.0`` differently, so equal bytes mean equal values of
-        equal types and hence equal canonical JSON.
+        Rendering is incremental, keyed by the write stamps of nodes and
+        items (:class:`~graphmem.canon.Stamped`).  An item's JSON fragment is
+        serialized again only when the item at that bank position has a new
+        stamp.  A node's line is reused while its own stamp, its parents'
+        stamps (their titles are rendered) and the stamps of the items its
+        ``items`` list names, in order, are unchanged; otherwise it is
+        assembled from the node's own fields and the item fragments, equal
+        byte for byte to the canonical dump of its whole record.  Shaping
+        writes only the live top-K items and eviction is permanent, so most
+        nodes of a deep graph stop changing.
         """
         lines = [
             canonical_dumps(
@@ -211,45 +226,27 @@ class MemoryGraph:
                 }
             )
         ]
-        previous, self._node_lines = self._node_lines, {}
-        for node in self.nodes:
-            record: dict = {
-                "index": node.index,
-                "kind": node.kind.value,
-                "title": node.title,
-                "parents": [self.nodes[p].title for p in sorted(node.parent_indices)],
-                "created_step": node.created_step,
-            }
-            if node.kind is NodeKind.ROOT:
-                record["query"] = node.query
-            elif node.kind is NodeKind.SEARCH:
-                record["query"] = node.query
-                record["populated"] = node.populated
-                record["summary"] = node.summary
-                record["items"] = [self._item_record(k) for k in node.items]
-            else:
-                record["answer"] = node.answer_text
-            key = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
-            line = previous.get(key) or canonical_dumps(record)
-            self._node_lines[key] = line
+        nodes, bank = self.nodes, self.memory_bank
+        node_lines, item_lines = self._node_lines, self._item_lines
+        for position, node in enumerate(nodes):
+            parents = sorted(node.parent_indices)
+            key = (node.stamp, *[nodes[p].stamp for p in parents])
+            items = [bank[k] for k in node.items] if node.kind is NodeKind.SEARCH else []
+            item_stamps = [item.stamp for item in items]
+            cached_key, head, tail, cached_stamps, line = node_lines.get(position, _NO_LINE)
+            if cached_key != key:
+                head, tail = _node_parts(node, [nodes[p].title for p in parents])
+            if cached_key != key or cached_stamps != item_stamps:
+                fragments = []
+                for k, item in zip(node.items, items):
+                    entry = item_lines.get(k)
+                    if entry is None or entry[0] != item.stamp:
+                        entry = item_lines[k] = (item.stamp, canonical_dumps(_item_record(item)))
+                    fragments.append(entry[1])
+                line = head + ",".join(fragments) + tail
+                node_lines[position] = (key, head, tail, item_stamps, line)
             lines.append(line)
         return "\n".join(lines) + "\n"
-
-    def _item_record(self, ordinal: int) -> dict:
-        item = self.memory_bank[ordinal]
-        record = {
-            "budget": item.allocated_budget,
-            "dropped": item.dropped,
-            "modality": item.modality.value,
-            "ordinal": item.ordinal,
-            "priority": item.priority,
-            "ref": item.payload_ref,
-            "saliency": item.saliency,
-            "slot": item.slot,
-        }
-        if item.source_timestamp_s is not None:
-            record["ts"] = item.source_timestamp_s
-        return record
 
     # -- mutations (single writer) ----------------------------------------
 
@@ -394,6 +391,44 @@ class MemoryGraph:
             raise CorruptGraph(f"malformed graph record: {exc}") from exc
         graph.validate()
         return graph
+
+
+def _node_parts(node: MemoryNode, parent_titles: list[str]) -> tuple[str, str]:
+    """A node's line without its item fragments.  For a search node, the
+    text before and after the contents of its ``items`` list; "items"
+    sorts between "index" and "kind", so the line is two canonical dumps
+    spliced around the list.  For any other node, the whole line and ""."""
+    record: dict = {
+        "kind": node.kind.value,
+        "title": node.title,
+        "parents": parent_titles,
+    }
+    if node.kind is NodeKind.SEARCH:
+        record.update(query=node.query, populated=node.populated, summary=node.summary)
+        head = canonical_dumps({"created_step": node.created_step, "index": node.index})
+        return head[:-1] + ',"items":[', "]," + canonical_dumps(record)[1:]
+    record.update(index=node.index, created_step=node.created_step)
+    if node.kind is NodeKind.ROOT:
+        record["query"] = node.query
+    else:
+        record["answer"] = node.answer_text
+    return canonical_dumps(record), ""
+
+
+def _item_record(item: VisualItem) -> dict:
+    record = {
+        "budget": item.allocated_budget,
+        "dropped": item.dropped,
+        "modality": item.modality.value,
+        "ordinal": item.ordinal,
+        "priority": item.priority,
+        "ref": item.payload_ref,
+        "saliency": item.saliency,
+        "slot": item.slot,
+    }
+    if item.source_timestamp_s is not None:
+        record["ts"] = item.source_timestamp_s
+    return record
 
 
 def new_graph(root_query: str) -> MemoryGraph:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterable, Union
 
@@ -377,32 +377,46 @@ def serialize_action(action: Action, thinking: str = "") -> str:
 class PromptBundle:
     """Everything the policy sees for one turn: system instruction, the user
     query, the linearized graph, and the retained memory attachments in
-    ranking order as (ordinal, budget, payload_ref) triples."""
+    ranking order as (ordinal, budget, payload_ref) triples.
+
+    The bundle is frozen, so each prompt text is built on first use and kept;
+    later calls, and :meth:`digest` and :meth:`char_count`, reuse it."""
 
     instruction: str
     query: str
     context: str
     memory_attachments: tuple[tuple[int, int, str], ...] = ()
+    _texts: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def user_text(self) -> str:
-        lines = [
-            "### User Query",
-            self.query,
-            "",
-            "### Agent Action Graph",
-            self.context.rstrip("\n"),
-            "",
-            "### Multimodal Memory Bank",
-        ]
-        if self.memory_attachments:
-            for ordinal, budget, ref in self.memory_attachments:
-                lines.append(f"- item {ordinal}: budget {budget} tokens, ref {ref}")
-        else:
-            lines.append("(empty)")
-        return "\n".join(lines) + "\n"
+        text = self._texts.get("user")
+        if text is None:
+            lines = [
+                "### User Query",
+                self.query,
+                "",
+                "### Agent Action Graph",
+                self.context.rstrip("\n"),
+                "",
+                "### Multimodal Memory Bank",
+            ]
+            if self.memory_attachments:
+                for ordinal, budget, ref in self.memory_attachments:
+                    lines.append(f"- item {ordinal}: budget {budget} tokens, ref {ref}")
+            else:
+                lines.append("(empty)")
+            text = self._texts["user"] = "\n".join(lines) + "\n"
+        return text
 
     def text(self) -> str:
-        return self.instruction.rstrip("\n") + "\n\n" + self.user_text()
+        text = self._texts.get("full")
+        if text is None:
+            text = self._texts["full"] = (
+                self.instruction.rstrip("\n") + "\n\n" + self.user_text()
+            )
+        return text
 
     def digest(self) -> str:
         return sha256_hex(self.text())

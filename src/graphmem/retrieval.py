@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .canon import canonical_dumps, read_json
+from .canon import canonical_dumps, read_json, write_text_atomic
 from .energy import ItemModality, VisualItem
 from .errors import DomainError
 
@@ -425,7 +425,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         "embed_seed": corpus.embed_seed,
         "items": [item.to_dict() for item in corpus.items],
     }
-    Path(path).write_text(canonical_dumps(record) + "\n", encoding="utf-8")
+    write_text_atomic(path, canonical_dumps(record) + "\n")
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from .canon import canonical_dumps, normalize_text, read_json, read_text
+from .canon import canonical_dumps, normalize_text, read_json, read_text, write_text_atomic
 from .energy import BudgetAssignment, EnergyParams, ItemModality, VisualItem, shape_memory
 from .errors import DomainError
 from .graph import GraphError, MemoryGraph, NodeKind, new_graph
@@ -511,7 +511,7 @@ class Trajectory:
 
 
 def save_trajectory(trajectory: Trajectory, path: str | Path) -> None:
-    Path(path).write_text(trajectory.to_jsonl(), encoding="utf-8")
+    write_text_atomic(path, trajectory.to_jsonl())
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
@@ -780,7 +780,7 @@ def save_session(state: SessionState, path: str | Path) -> None:
         "policy_calls": state.policy_calls,
         "truncated": state.truncated,
     }
-    Path(path).write_text(canonical_dumps(record) + "\n", encoding="utf-8")
+    write_text_atomic(path, canonical_dumps(record) + "\n")
 
 
 def load_session(path: str | Path) -> SessionState:

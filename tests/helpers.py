@@ -286,7 +286,10 @@ class _ThreadedServer:
         return f"http://{host}:{port}"
 
     def __enter__(self):
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll lets __exit__'s shutdown() return promptly
+        self._thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
         self._thread.start()
         return self
 

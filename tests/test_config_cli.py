@@ -1,4 +1,6 @@
+import http.client
 import json
+import signal
 import socket
 import subprocess
 import sys
@@ -265,6 +267,33 @@ class TestRemoteRun:
             assert produced.splitlines()[1:] == golden.splitlines()[1:]
 
 
+    def test_batch_reports_every_failed_episode(self, tmp_path, capsys):
+        script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text((json.dumps({"query": DEMO_QUERY}) + "\n") * 3, encoding="utf-8")
+
+        def respond(n: int):
+            # episodes run one after another: the second one's first call fails
+            if n == len(script):
+                return 500, b"overloaded"
+            return 200, chat_reply(script[n % (len(script) + 1)])
+
+        out = tmp_path / "batch"
+        with KeepAliveStub(respond) as stub:
+            config = self.remote_config(tmp_path, stub.base_url)
+            code = main([
+                "run", "--config", str(config), "--queries", str(queries), "--out-dir", str(out),
+            ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert [line.split(" ", 1)[0] for line in captured.out.splitlines()] == ["[0]", "[2]"]
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error [PolicyUnreachable]: [1] ")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "trajectory_0000.jsonl", "trajectory_0002.jsonl",
+        ]
+
+
 class TestPrune:
     def _positive_and_negative(self, tmp_path):
         """One rewarded rollout with a dead end, one failed rollout that hit
@@ -489,3 +518,34 @@ def test_cli_import_leaves_out_requests():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_serve_stops_on_sigterm_with_sigint_ignored():
+    """Under a parent that ignores SIGINT (a background job), SIGTERM still
+    shuts the server down cleanly."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphmem.cli", "serve",
+         "--corpus", str(FIXTURES / "demo_corpus.json"), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving POST /search on http://127.0.0.1:"), line
+        port = int(line.rsplit(":", 1)[1])
+        proc.send_signal(signal.SIGINT)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        conn.request("POST", "/search", body=json.dumps({"query": "Solaris Dawn", "k": 1}))
+        assert conn.getresponse().status == 200  # SIGINT was ignored
+        conn.close()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 0
+        assert "Traceback" not in proc.stderr.read()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()

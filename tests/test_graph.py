@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import random
 
@@ -317,6 +319,76 @@ class TestLinearize:
                     ts = item.source_timestamp_s
                     item.source_timestamp_s = int(ts) if type(ts) is float else float(ts)
             assert g.linearize() == MemoryGraph.from_dict(g.to_dict()).linearize()
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["retitle", "swap_item", "swap_node", "edit_items", "deepcopy", "add",
+                     "populate", "shape", "budget"]
+                ),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_reuse_survives_replacements_and_copies(self, start, ops):
+        """Edits the stamps must see through: a parent's title, a bank slot
+        or node slot holding a new object, a node's item list changed in
+        place, and a deep copy of a rendered graph edited afterwards."""
+        g = random_graph_with_items(random.Random(start), max_nodes=8)
+        previous = None  # the graph a deep copy was taken from
+        for counter, (op, seed) in enumerate(ops):
+            rng = random.Random(seed)
+            searches = [n for n in g.nodes if n.kind is NodeKind.SEARCH]
+            bank = g.memory_bank
+            if op == "retitle":
+                titled = [n for n in g.nodes if n.kind is not NodeKind.ANSWER]
+                rng.choice(titled).title = f"renamed {counter}"
+            elif op == "swap_item" and bank:
+                k = rng.randrange(len(bank))
+                changes = rng.choice([{}, {"payload_ref": f"swap://{counter}"}, {"priority": 1}])
+                bank[k] = dataclasses.replace(bank[k], **changes)
+            elif op == "swap_node":
+                i = rng.randrange(len(g.nodes))
+                changes = rng.choice([{}, {"summary": f"swapped {counter}"}])
+                g.nodes[i] = dataclasses.replace(g.nodes[i], **changes)
+            elif op == "edit_items" and searches:
+                items = rng.choice(searches).items
+                edit = rng.choice(["append", "reverse", "pop", "clear"])
+                if edit == "append" and bank:
+                    items.append(rng.randrange(len(bank)))
+                elif edit == "reverse":
+                    items.reverse()
+                elif edit == "pop" and items:
+                    items.pop(rng.randrange(len(items)))
+                elif edit == "clear":
+                    items.clear()
+            elif op == "deepcopy":
+                previous, g = g, copy.deepcopy(g)
+            elif op == "add" and not g.is_terminal:
+                parents = rng.sample(g.nodes, rng.randint(1, min(2, len(g.nodes))))
+                g.add_search_node(f"added {counter}", {n.title for n in parents}, f"q {seed}")
+            elif op == "populate" and not g.is_terminal:
+                pending = [n for n in searches if not n.populated]
+                if pending:
+                    node = rng.choice(pending)
+                    refs = [
+                        g.append_item(random_item(rng, len(bank), node.index, slot))
+                        for slot in range(rng.randint(0, 3))
+                    ]
+                    g.populate_node(node.index, f"summary {seed}", refs)
+            elif op == "shape":
+                shape_memory(g, EnergyParams(top_k=rng.randint(1, 3), s_total=1000))
+            elif op == "budget":
+                live = [item for item in bank if not item.dropped]
+                if live:
+                    rng.choice(live).allocated_budget = rng.randint(0, 5)
+            for graph in (g, previous) if previous is not None else (g,):
+                assert graph.linearize() == MemoryGraph.from_dict(graph.to_dict()).linearize()
 
 
 def random_item(rng, ordinal, owner, slot):

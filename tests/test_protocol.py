@@ -12,6 +12,7 @@ from graphmem.protocol import (
     Memorize,
     MemorizeDecision,
     MissingToolCall,
+    PromptBundle,
     ProtocolError,
     Retrieve,
     SchemaViolation,
@@ -230,6 +231,23 @@ class TestRenderContext:
         bundle = render_context(g, assignment, "INSTRUCTION")
         expected = (golden_dir / "prompt_bundle.txt").read_text(encoding="utf-8")
         assert bundle.text() == expected
+
+    def test_texts_built_once_match_a_fresh_bundle(self, toy_corpus):
+        g = _shaped_demo_graph(toy_corpus)
+        bundle = render_context(g, shape_memory(g, EnergyParams(s_total=500)), "INSTRUCTION")
+
+        def fresh() -> PromptBundle:
+            return PromptBundle(
+                bundle.instruction, bundle.query, bundle.context, bundle.memory_attachments
+            )
+
+        expected = (fresh().text(), fresh().user_text(), fresh().digest(), fresh().char_count())
+        first_text = bundle.text()
+        for _ in range(3):
+            got = (bundle.text(), bundle.user_text(), bundle.digest(), bundle.char_count())
+            assert got == expected
+        assert bundle.text() is first_text  # kept, not rebuilt
+        assert bundle == fresh() and hash(bundle) == hash(fresh())
 
     def test_stale_assignment_rejected(self):
         g = new_graph("q")

@@ -454,7 +454,10 @@ class TestSearchServer:
     @pytest.fixture
     def server_address(self, toy_corpus):
         server = make_search_server(toy_corpus, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # a short poll lets shutdown() return promptly
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
         thread.start()
         try:
             yield server.server_address[:2]
