@@ -57,10 +57,8 @@ from .runtime import (
     Trajectory,
     apply_action,
     judge_exact,
-    load_session,
     load_trajectory,
     run_episode,
-    save_session,
     save_trajectory,
 )
 from .training import (

@@ -1,8 +1,8 @@
 """Canonical serialization, text normalization and file I/O shared across
 modules.
 
-Everything that leaves the process (graph files, sessions, trajectories,
-wire payloads) goes through :func:`canonical_dumps` so that identical
+Everything that leaves the process (graph files, trajectories, wire
+payloads) goes through :func:`canonical_dumps` so that identical
 in-memory values always produce identical bytes, and output files are
 written whole through :func:`write_text_atomic`.  :class:`Stamped` records
 let renderers reuse what they serialized until the record changes.
@@ -116,5 +116,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
             handle.write(text)
         os.replace(temp, path)
     except BaseException:
-        temp.unlink(missing_ok=True)
+        # a failed cleanup must not hide the error that made it necessary
+        try:
+            temp.unlink(missing_ok=True)
+        except OSError:
+            pass
         raise

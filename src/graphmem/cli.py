@@ -1,7 +1,7 @@
 """Operator command line: corpus building, episode running, statistics,
 training-batch preparation, and the search HTTP server.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain or OS error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from .runtime import (
     RemoteJudge,
     RemotePolicy,
     ScriptedPolicy,
-    SessionState,
     Trajectory,
     load_trajectory,
     run_episode,
-    save_session,
     save_trajectory,
 )
 from .server import make_search_server
@@ -52,6 +50,13 @@ class EmptyCorpus(DomainError):
 
 class BadInputFile(DomainError):
     code = "BadInputFile"
+
+
+def _report(exc: DomainError | OSError, where: str = "") -> None:
+    """One typed line on stderr for a failure that ends a command or an
+    episode: a domain error names its code, an OS error its class."""
+    code = exc.code if isinstance(exc, DomainError) else type(exc).__name__
+    print(f"error [{code}]: {where}{exc}", file=sys.stderr)
 
 
 def _policy_source(config: Config, clients: ExitStack) -> Callable[[], Policy]:
@@ -113,17 +118,11 @@ def _run_one(
     corpus: Corpus,
     policy: Policy,
     judge: ExactMatchJudge | RemoteJudge,
-    index: int,
     query: str,
     gold: str | None,
     out_path: Path,
 ) -> tuple[Trajectory, int | None]:
-    state = SessionState.new(query)
-    trajectory = run_episode(policy, corpus, query, config.episode_config(), resume=state)
-    if config.session_dir:
-        session_dir = Path(config.session_dir)
-        session_dir.mkdir(parents=True, exist_ok=True)
-        save_session(state, session_dir / f"session_{index:04d}.json")
+    trajectory = run_episode(policy, corpus, query, config.episode_config())
     verdict: int | None = None
     if gold is not None and trajectory.answer_text is not None:
         try:
@@ -211,7 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.query is not None:
             out_path = Path(args.out) if args.out else out_dir / "trajectory.jsonl"
             trajectory, verdict = _run_one(
-                config, corpus, new_policy(), judge, 0, args.query, args.gold, out_path
+                config, corpus, new_policy(), judge, args.query, args.gold, out_path
             )
             status = "answered" if trajectory.answer_text is not None else "truncated"
             verdict_text = "absent" if verdict is None else str(verdict)
@@ -227,8 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             index, entry = indexed
             out_path = out_dir / f"trajectory_{index:04d}.jsonl"
             trajectory, verdict = _run_one(
-                config, corpus, new_policy(), judge, index, entry["query"], entry.get("gold"),
-                out_path,
+                config, corpus, new_policy(), judge, entry["query"], entry.get("gold"), out_path
             )
             status = "answered" if trajectory.answer_text is not None else "truncated"
             verdict_text = "absent" if verdict is None else str(verdict)
@@ -240,9 +238,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             for index, future in enumerate(futures):
                 try:
                     print(future.result())
-                except DomainError as exc:
+                except (DomainError, OSError) as exc:
                     failed += 1
-                    print(f"error [{exc.code}]: [{index}] {exc}", file=sys.stderr)
+                    _report(exc, f"[{index}] ")
     return 1 if failed else 0
 
 
@@ -410,8 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+    except (DomainError, OSError) as exc:
+        _report(exc)
         return 1
 
 

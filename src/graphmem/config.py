@@ -47,7 +47,6 @@ class Config:
     judge_token_env: str = TOKEN_ENV_DEFAULT
     # paths
     corpus_path: str = ""
-    session_dir: str = ""
     output_dir: str = "out"
 
     def __post_init__(self) -> None:

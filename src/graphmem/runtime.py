@@ -46,7 +46,6 @@ from .protocol import (
 )
 from .retrieval import Corpus, Modality, Observation, resolve_keyframes, search
 
-SESSION_SCHEMA = "session/1"
 TRAJECTORY_SCHEMA = "trajectory/1"
 
 TOKEN_ENV_DEFAULT = "GRAPHMEM_API_TOKEN"
@@ -114,12 +113,6 @@ class ScriptedPolicy(Policy):
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise PolicyProtocolError(f"{path}: script must be a JSON list of strings")
         return cls(responses)
-
-    def seek(self, n: int) -> None:
-        """Skip the first ``n`` responses (used when resuming a session)."""
-        if not 0 <= n <= len(self._responses):
-            raise PolicyProtocolError(f"cannot seek script to call {n}")
-        self._cursor = n
 
     def act(self, bundle: PromptBundle, followup: Sequence[tuple[str, str]] = ()) -> str:
         if self._cursor >= len(self._responses):
@@ -378,76 +371,23 @@ class CycleRecord:
 
 @dataclass
 class PendingSearch:
-    """A search node whose observations await the memorize turn.
-
-    Beyond the observations, it carries everything needed to replay the
-    memorize turn after a mid-cycle checkpoint: the retrieve-turn transcript
-    and the exact bundle (context + attachments) that turn was rendered from,
-    which predates the node addition and cannot be re-rendered from the
-    mutated graph.
-    """
+    """A search node whose observations await the memorize turn."""
 
     node_index: int
     observations: tuple[Observation, ...]
     offered_ids: tuple[str, ...]
     observation_text: str
-    prompt_digest: str = ""
-    prompt_chars: int = 0
-    response: str = ""
-    action: dict = field(default_factory=dict)
-    assignment: BudgetAssignment | None = None
-    context: str = ""
-    attachments: tuple[tuple[int, int, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "node_index": self.node_index,
-            "observations": [obs.to_dict() for obs in self.observations],
-            "offered_ids": list(self.offered_ids),
-            "observation_text": self.observation_text,
-            "prompt_digest": self.prompt_digest,
-            "prompt_chars": self.prompt_chars,
-            "response": self.response,
-            "action": self.action,
-            "assignment": None if self.assignment is None else self.assignment.to_dict(),
-            "context": self.context,
-            "attachments": [list(entry) for entry in self.attachments],
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "PendingSearch":
-        return cls(
-            node_index=record["node_index"],
-            observations=tuple(Observation.from_dict(o) for o in record["observations"]),
-            offered_ids=tuple(record["offered_ids"]),
-            observation_text=record["observation_text"],
-            prompt_digest=record["prompt_digest"],
-            prompt_chars=record["prompt_chars"],
-            response=record["response"],
-            action=record["action"],
-            assignment=(
-                None
-                if record["assignment"] is None
-                else BudgetAssignment.from_dict(record["assignment"])
-            ),
-            context=record["context"],
-            attachments=tuple(
-                (ordinal, budget, ref) for ordinal, budget, ref in record["attachments"]
-            ),
-        )
 
 
 @dataclass
 class SessionState:
-    """Checkpointable episode state: the graph (which owns the memory bank),
-    completed cycle records, any half-finished cycle, and the number of
-    policy calls made so far (used to reposition a scripted policy)."""
+    """The state of a running episode: the graph (which owns the memory
+    bank), the completed cycle records, and the search awaiting its memorize
+    turn, if any."""
 
     graph: MemoryGraph
     records: list[CycleRecord] = field(default_factory=list)
     pending: PendingSearch | None = None
-    policy_calls: int = 0
-    truncated: bool = False
 
     @classmethod
     def new(cls, query: str) -> "SessionState":
@@ -478,7 +418,7 @@ class Trajectory:
         }
         lines = [canonical_dumps(meta)]
         for record in self.records:
-            lines.append(canonical_dumps({"kind": "cycle", **record.to_dict()}))
+            lines.append(canonical_dumps(record.to_dict()))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -638,20 +578,17 @@ def _conversation_chars(bundle: PromptBundle, followup: Sequence[tuple[str, str]
 
 def _act_and_parse(
     policy: Policy,
-    state: SessionState,
     bundle: PromptBundle,
     followup: Sequence[tuple[str, str]],
 ) -> tuple[str, ParsedResponse]:
     """One policy call with a single retry on unparseable output; the retry
     appends the offending reply and a format reminder."""
     raw = policy.act(bundle, followup)
-    state.policy_calls += 1
     try:
         return raw, parse_response(raw)
     except ProtocolError:
         reminder = tuple(followup) + (("assistant", raw), ("user", FORMAT_REMINDER))
         raw2 = policy.act(bundle, reminder)
-        state.policy_calls += 1
         try:
             return raw2, parse_response(raw2)
         except ProtocolError as second:
@@ -665,10 +602,8 @@ def run_episode(
     corpus: Corpus,
     query: str,
     config: EpisodeConfig,
-    *,
-    resume: SessionState | None = None,
 ) -> Trajectory:
-    """Run (or resume) one episode to its answer or the cycle bound.
+    """Run one episode to its answer or the cycle bound.
 
     Every cycle: shape the memory bank at the current step, render the
     prompt, ask the policy, apply.  Retrieve cycles run the memorize turn
@@ -676,86 +611,49 @@ def run_episode(
     closes.  Episodes that hit the bound keep their trailing skeletal node,
     if any, and are marked truncated.
     """
-    state = resume if resume is not None else SessionState.new(query)
+    state = SessionState.new(query)
     graph = state.graph
     while not graph.is_terminal and len(state.records) < config.t_max:
         cycle = len(state.records)
-        if state.pending is None:
-            assignment = shape_memory(graph, config.energy)
-            bundle = render_context(graph, assignment, config.instruction)
-            raw, parsed = _act_and_parse(policy, state, bundle, ())
-            try:
-                apply_action(state, parsed.action, corpus, config)
-            except GraphError as exc:
-                raise PolicyProtocolError(
-                    f"policy action rejected at cycle {cycle}: {exc}"
-                ) from exc
-            if isinstance(parsed.action, Answer):
-                state.records.append(
-                    CycleRecord(
-                        cycle=cycle,
-                        step=assignment.step,
-                        prompt_digest=bundle.digest(),
-                        prompt_chars=bundle.char_count(),
-                        response=raw,
-                        action=action_payload(parsed.action),
-                        kind="answer",
-                        node_index=len(graph.nodes) - 1,
-                        assignment=assignment,
-                    )
-                )
-                break
-            state.pending = replace(
-                state.pending,
-                prompt_digest=bundle.digest(),
-                prompt_chars=bundle.char_count(),
-                response=raw,
-                action=action_payload(parsed.action),
-                assignment=assignment,
-                context=bundle.context,
-                attachments=bundle.memory_attachments,
-            )
-        else:
-            # resumed mid-cycle: rebuild the retrieve-turn bundle from the
-            # checkpoint (the graph has mutated since it was rendered)
-            assignment = state.pending.assignment
-            if assignment is None:
-                raise CorruptSession("pending search is missing its shaping assignment")
-            bundle = PromptBundle(
-                instruction=config.instruction,
-                query=graph.root_query,
-                context=state.pending.context,
-                memory_attachments=state.pending.attachments,
-            )
-
-        pending = state.pending
-        followup = (
-            ("assistant", pending.response),
-            ("user", pending.observation_text + "\n" + MEMORIZE_PROMPT),
+        assignment = shape_memory(graph, config.energy)
+        bundle = render_context(graph, assignment, config.instruction)
+        raw, parsed = _act_and_parse(policy, bundle, ())
+        try:
+            apply_action(state, parsed.action, corpus, config)
+        except GraphError as exc:
+            raise PolicyProtocolError(
+                f"policy action rejected at cycle {cycle}: {exc}"
+            ) from exc
+        record = CycleRecord(
+            cycle=cycle,
+            step=assignment.step,
+            prompt_digest=bundle.digest(),
+            prompt_chars=bundle.char_count(),
+            response=raw,
+            action=action_payload(parsed.action),
+            kind=_action_kind(parsed.action),
+            node_index=len(graph.nodes) - 1,
+            assignment=assignment,
         )
-        raw2, parsed2 = _act_and_parse(policy, state, bundle, followup)
-        if not isinstance(parsed2.action, Memorize):
-            raise IllegalTransition("memorize", _action_kind(parsed2.action))
-        apply_action(state, parsed2.action, corpus, config)
-        state.records.append(
-            CycleRecord(
-                cycle=cycle,
-                step=assignment.step,
-                prompt_digest=pending.prompt_digest,
-                prompt_chars=pending.prompt_chars,
-                response=pending.response,
-                action=pending.action,
-                kind="retrieve",
-                node_index=pending.node_index,
-                assignment=assignment,
+        pending = state.pending
+        if pending is not None:
+            followup = (
+                ("assistant", raw),
+                ("user", pending.observation_text + "\n" + MEMORIZE_PROMPT),
+            )
+            raw2, parsed2 = _act_and_parse(policy, bundle, followup)
+            if not isinstance(parsed2.action, Memorize):
+                raise IllegalTransition("memorize", _action_kind(parsed2.action))
+            apply_action(state, parsed2.action, corpus, config)
+            record = replace(
+                record,
                 observations=pending.observations,
                 memorize_prompt_chars=_conversation_chars(bundle, followup),
                 memorize_response=raw2,
                 memorize_action=action_payload(parsed2.action),
             )
-        )
+        state.records.append(record)
 
-    state.truncated = not graph.is_terminal
     answer_text = next(
         (node.answer_text for node in graph.nodes if node.kind is NodeKind.ANSWER), None
     )
@@ -764,41 +662,5 @@ def run_episode(
         records=state.records,
         graph=graph,
         answer_text=answer_text,
-        truncated=state.truncated,
+        truncated=not graph.is_terminal,
     )
-
-
-# -- session persistence -------------------------------------------------------
-
-
-def save_session(state: SessionState, path: str | Path) -> None:
-    record = {
-        "schema": SESSION_SCHEMA,
-        "graph": state.graph.to_dict(),
-        "records": [r.to_dict() for r in state.records],
-        "pending": None if state.pending is None else state.pending.to_dict(),
-        "policy_calls": state.policy_calls,
-        "truncated": state.truncated,
-    }
-    write_text_atomic(path, canonical_dumps(record) + "\n")
-
-
-def load_session(path: str | Path) -> SessionState:
-    record = read_json(path, CorruptSession)
-    if not isinstance(record, dict) or record.get("schema") != SESSION_SCHEMA:
-        raise SessionSchemaMismatch(
-            f"expected schema {SESSION_SCHEMA!r}, got "
-            f"{record.get('schema') if isinstance(record, dict) else type(record).__name__!r}"
-        )
-    try:
-        return SessionState(
-            graph=MemoryGraph.from_dict(record["graph"]),
-            records=[CycleRecord.from_dict(r) for r in record["records"]],
-            pending=(
-                None if record["pending"] is None else PendingSearch.from_dict(record["pending"])
-            ),
-            policy_calls=record["policy_calls"],
-            truncated=record["truncated"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptSession(f"malformed session record: {exc}") from exc

@@ -72,3 +72,10 @@ class TestWriteTextAtomic:
         # each writer has its own temporary file beside the target
         assert len(set(temps)) == 2
         assert all(os.path.dirname(t) == str(tmp_path) for t in temps)
+
+    def test_failed_cleanup_keeps_the_original_error(self, tmp_path):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        with pytest.raises(NotADirectoryError) as excinfo:
+            write_text_atomic(tmp_path / "file" / "out.json", "new\n")
+        # removing the temporary file fails too; that error is not raised
+        assert excinfo.value.__context__ is None

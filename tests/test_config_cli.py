@@ -161,33 +161,33 @@ class TestRun:
         assert code == 1
         assert "t_amx" in capsys.readouterr().err
 
-    def test_session_dir_saves_final_state(self, tmp_path, capsys):
-        config = write_demo_config(tmp_path, session_dir=str(tmp_path / "sessions"))
-        code = main([
-            "run", "--config", str(config),
-            "--query", DEMO_QUERY,
-            "--out", str(tmp_path / "t.jsonl"),
-        ])
-        assert code == 0
-        from graphmem.runtime import load_session
-
-        saved = list((tmp_path / "sessions").glob("session_*.json"))
-        assert len(saved) == 1
-        state = load_session(saved[0])
-        assert state.graph.is_terminal
-        assert state.policy_calls == 5
-
     def test_repeated_batch_queries_keep_every_session(self, tmp_path, capsys):
-        config = write_demo_config(tmp_path, session_dir=str(tmp_path / "sessions"))
+        config = write_demo_config(tmp_path)
         queries = tmp_path / "queries.jsonl"
         queries.write_text((json.dumps({"query": DEMO_QUERY}) + "\n") * 2, encoding="utf-8")
+        out = tmp_path / "batch"
         code = main([
-            "run", "--config", str(config), "--queries", str(queries),
-            "--out-dir", str(tmp_path / "batch"),
+            "run", "--config", str(config), "--queries", str(queries), "--out-dir", str(out),
         ])
         assert code == 0
-        saved = sorted(p.name for p in (tmp_path / "sessions").iterdir())
-        assert saved == ["session_0000.json", "session_0001.json"]
+        saved = sorted(p.name for p in out.iterdir())
+        assert saved == ["trajectory_0000.jsonl", "trajectory_0001.jsonl"]
+        assert (out / saved[0]).read_bytes() == (out / saved[1]).read_bytes()
+
+    def test_batch_reports_an_unwritable_output_and_runs_on(self, tmp_path, capsys):
+        config = write_demo_config(tmp_path)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text((json.dumps({"query": DEMO_QUERY}) + "\n") * 3, encoding="utf-8")
+        out = tmp_path / "batch"
+        (out / "trajectory_0001.jsonl").mkdir(parents=True)
+        code = main([
+            "run", "--config", str(config), "--queries", str(queries), "--out-dir", str(out),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert [line.split(" ", 1)[0] for line in captured.out.splitlines()] == ["[0]", "[2]"]
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error [IsADirectoryError]: [1] ")
 
     def test_batch_queries_parallel(self, tmp_path, capsys):
         config = write_demo_config(tmp_path)
@@ -487,6 +487,7 @@ BAD_INPUTS = {
     ],
     "queries line not JSON": lambda tmp: _run_batch(tmp, "not json\n"),
     "queries line without query": lambda tmp: _run_batch(tmp, '{"gold": "x"}\n'),
+    "config sets session_dir": lambda tmp: _run_with(tmp, session_dir=str(tmp / "sessions")),
 }
 
 
@@ -500,6 +501,37 @@ def test_bad_input_file_is_typed_error(tmp_path, capsys, case):
     # nothing ran, so nothing was written
     assert not (tmp_path / "batch").exists()
     assert not (tmp_path / "b.jsonl").exists()
+
+
+OS_FAILURES = {
+    "run output under a file": (
+        lambda tmp, port: _run_with(tmp) + ["--out", str(tmp / "file" / "x" / "t.jsonl")],
+        "NotADirectoryError",
+    ),
+    "stats output under a file": (
+        lambda tmp, port: ["stats", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl"),
+                           "--out", str(tmp / "file" / "x.json")],
+        "NotADirectoryError",
+    ),
+    "serve on a taken port": (
+        lambda tmp, port: ["serve", "--corpus", str(FIXTURES / "demo_corpus.json"),
+                           "--port", str(port)],
+        "OSError",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_FAILURES))
+def test_os_failure_is_one_typed_line(tmp_path, capsys, case):
+    argv_for, code = OS_FAILURES[case]
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        assert main(argv_for(tmp_path, taken.getsockname()[1])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{code}]: ")
+    assert err.count("\n") == 1
 
 
 def test_console_entry_point():

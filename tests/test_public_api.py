@@ -16,7 +16,6 @@ CALLER_DIRS = ("src", "scripts", "perfbench")
 ALLOWED = {
     "masked_objective": "the trainer-side objective value; the external trainer calls it",
     "serialize_action": "the wire form a remote policy emits; README documents it",
-    "load_session": "reads the checkpoints that `run` writes with session_dir set",
 }
 
 

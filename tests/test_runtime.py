@@ -2,12 +2,11 @@ import json
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from graphmem.energy import EnergyParams, shape_memory
+from graphmem.energy import EnergyParams
 from graphmem.graph import NodeKind
 from graphmem.protocol import (
     Answer,
@@ -15,9 +14,6 @@ from graphmem.protocol import (
     MemorizeDecision,
     Retrieve,
     SchemaViolation,
-    action_payload,
-    parse_response,
-    render_context,
     serialize_action,
 )
 from graphmem.runtime import (
@@ -36,10 +32,8 @@ from graphmem.runtime import (
     SessionSchemaMismatch,
     apply_action,
     judge_exact,
-    load_session,
     load_trajectory,
     run_episode,
-    save_session,
     save_trajectory,
 )
 from helpers import KeepAliveStub, StubChatServer, chat_reply
@@ -403,88 +397,20 @@ class TestChatCompletionsClient:
 
 
 class TestSessions:
-    def test_round_trip(self, toy_corpus, tmp_path):
-        state = SessionState.new(DEMO_QUERY)
-        config = demo_config()
-        apply_action(state, Retrieve("s", ("root",), "who directed Solaris Dawn film"),
-                     toy_corpus, config)
-        path = tmp_path / "session.json"
-        save_session(state, path)
-        loaded = load_session(path)
-        assert loaded.graph.to_dict() == state.graph.to_dict()
-        assert loaded.pending.to_dict() == state.pending.to_dict()
-        assert loaded.policy_calls == state.policy_calls
-        save_session(loaded, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    """The trajectory reader's typed errors."""
 
     def test_future_schema_rejected(self, tmp_path):
-        path = tmp_path / "future.json"
-        path.write_text('{"schema": "session/99"}', encoding="utf-8")
+        path = tmp_path / "future.jsonl"
+        path.write_text('{"kind": "meta", "schema": "trajectory/99"}\n', encoding="utf-8")
         with pytest.raises(SessionSchemaMismatch):
-            load_session(path)
+            load_trajectory(path)
 
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{ not json", encoding="utf-8")
+    def test_corrupt_file_rejected(self, toy_corpus, tmp_path):
+        path = tmp_path / "corrupt.jsonl"
+        meta = run_demo(toy_corpus).to_jsonl().splitlines()[0]
+        path.write_text(meta + "\n{ not json\n", encoding="utf-8")
         with pytest.raises(CorruptSession):
-            load_session(path)
-
-    def test_resume_at_cycle_boundary_bit_identical(self, toy_corpus, tmp_path):
-        config = demo_config()
-        script = demo_script()
-        uninterrupted = run_episode(
-            ScriptedPolicy(script), toy_corpus, DEMO_QUERY, config
-        ).to_jsonl()
-
-        # 1) run only the first cycle
-        state = SessionState.new(DEMO_QUERY)
-        partial_config = demo_config()
-        partial_config.t_max = 1
-        run_episode(ScriptedPolicy(script), toy_corpus, DEMO_QUERY, partial_config,
-                    resume=state)
-        path = tmp_path / "checkpoint.json"
-        save_session(state, path)
-
-        # 2) reload and resume with a fresh policy positioned after the calls made
-        loaded = load_session(path)
-        policy = ScriptedPolicy(script)
-        policy.seek(loaded.policy_calls)
-        resumed = run_episode(policy, toy_corpus, DEMO_QUERY, config, resume=loaded)
-        assert resumed.to_jsonl() == uninterrupted
-
-    def test_resume_mid_cycle_bit_identical(self, toy_corpus, tmp_path):
-        config = demo_config()
-        script = demo_script()
-        uninterrupted = run_episode(
-            ScriptedPolicy(script), toy_corpus, DEMO_QUERY, config
-        ).to_jsonl()
-
-        # reconstruct the state as run_episode leaves it right before the
-        # first memorize turn
-        state = SessionState.new(DEMO_QUERY)
-        assignment = shape_memory(state.graph, config.energy)
-        bundle = render_context(state.graph, assignment, config.instruction)
-        parsed = parse_response(script[0])
-        apply_action(state, parsed.action, toy_corpus, config)
-        state.pending = replace(
-            state.pending,
-            prompt_digest=bundle.digest(),
-            prompt_chars=bundle.char_count(),
-            response=script[0],
-            action=action_payload(parsed.action),
-            assignment=assignment,
-            context=bundle.context,
-            attachments=bundle.memory_attachments,
-        )
-        state.policy_calls = 1
-        path = tmp_path / "mid.json"
-        save_session(state, path)
-
-        loaded = load_session(path)
-        policy = ScriptedPolicy(script)
-        policy.seek(loaded.policy_calls)
-        resumed = run_episode(policy, toy_corpus, DEMO_QUERY, config, resume=loaded)
-        assert resumed.to_jsonl() == uninterrupted
+            load_trajectory(path)
 
 
 class TestTrajectoryFiles:
