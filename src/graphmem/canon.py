@@ -4,14 +4,12 @@ modules.
 Everything that leaves the process (graph files, trajectories, wire
 payloads) goes through :func:`canonical_dumps` so that identical
 in-memory values always produce identical bytes, and output files are
-written whole through :func:`write_text_atomic`.  :class:`Stamped` records
-let renderers reuse what they serialized until the record changes.
+written whole through :func:`write_text_atomic`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -54,32 +52,6 @@ def canonical_dumps(obj: Any) -> str:
     )
 
 
-_WRITE_STAMPS = itertools.count(1)
-_set_attribute = object.__setattr__
-
-
-class Stamped:
-    """Base for mutable records whose canonical rendering is cached.
-
-    Every attribute write, the ones ``__init__`` makes included, gives the
-    object a fresh ``stamp`` from one process-wide counter, and so does
-    copying or unpickling it.  Stamps are never reused, so an unchanged stamp
-    means the same object holding the same attribute values (an attribute
-    that is a mutable container can still change in place).
-    """
-
-    # writes go through object.__setattr__, never through __dict__, which
-    # would cost the instance its fast attribute reads
-    def __setattr__(self, name: str, value: Any) -> None:
-        _set_attribute(self, name, value)
-        _set_attribute(self, "stamp", next(_WRITE_STAMPS))
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            _set_attribute(self, name, value)
-        _set_attribute(self, "stamp", next(_WRITE_STAMPS))
-
-
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -107,18 +79,21 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` in UTF-8 so that readers see the old file or
     the whole new one, never part of it: the text goes to a temporary file in
     the same directory, named uniquely per call, which then replaces
-    ``path``.  On failure the temporary file is removed and ``path`` is left
-    as it was."""
+    ``path``.  On failure the temporary file is removed, ``path`` is left as
+    it was, and an OS error names ``path``, not the temporary file."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(temp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         # a failed cleanup must not hide the error that made it necessary
         try:
             temp.unlink(missing_ok=True)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename = str(path)
+            del exc.filename2  # unset, so the message names one path
         raise

@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 domain or OS error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -122,6 +124,10 @@ def _run_one(
     gold: str | None,
     out_path: Path,
 ) -> tuple[Trajectory, int | None]:
+    # a bad output location fails before any policy call is spent
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    if out_path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
     trajectory = run_episode(policy, corpus, query, config.episode_config())
     verdict: int | None = None
     if gold is not None and trajectory.answer_text is not None:
@@ -130,7 +136,6 @@ def _run_one(
         except JudgeError as exc:
             print(f"warning: {exc}; episode kept without reward", file=sys.stderr)
     trajectory.reward = verdict
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_trajectory(trajectory, out_path)
     return trajectory, verdict
 

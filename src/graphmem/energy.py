@@ -12,12 +12,11 @@ proportion to their reinforced scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .canon import Stamped
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -40,15 +39,15 @@ class ItemModality(str, Enum):
     VIDEO_FRAME = "video_frame"
 
 
-@dataclass
-class VisualItem(Stamped):
+@dataclass(frozen=True)
+class VisualItem:
     """One entry of the graph's memory bank.
 
     ``ordinal`` is the item's position in the bank, ``owner_node``/``slot``
     locate it on the graph (identity fields may be -1 on seeds that have not
     been attached yet), ``payload_ref`` is an opaque pointer into the asset
-    store; raw pixels never live here.  Each write stamps the item, so
-    :meth:`MemoryGraph.linearize` serializes it again only after a change.
+    store; raw pixels never live here.  Items are immutable: a change is a
+    new item put in the item's bank position.
     """
 
     ordinal: int
@@ -278,21 +277,19 @@ def shape_memory(graph: "MemoryGraph", params: EnergyParams) -> BudgetAssignment
     and budgets are written into the bank.  Re-running at an unchanged step
     reproduces the same assignment.
     """
-    for item in graph.memory_bank:
+    bank = graph.memory_bank
+    for item in bank:
         if item.saliency == 0 and not item.dropped:
-            item.dropped = True
-            item.allocated_budget = 0
+            bank[item.ordinal] = replace(item, dropped=True, allocated_budget=0)
 
     report = recursive_energy(graph, params)
-    live = [item for item in graph.memory_bank if not item.dropped]
+    live = [item for item in bank if not item.dropped]
     retained = select_top_k(report, params, live)
     assignment = allocate_budget(retained, report, params)
 
-    retained_set = set(retained)
     for item in live:
-        if item.ordinal in retained_set:
-            item.allocated_budget = assignment.budgets[item.ordinal]
+        if item.ordinal in assignment.budgets:
+            bank[item.ordinal] = replace(item, allocated_budget=assignment.budgets[item.ordinal])
         else:
-            item.dropped = True
-            item.allocated_budget = 0
+            bank[item.ordinal] = replace(item, dropped=True, allocated_budget=0)
     return assignment

@@ -10,18 +10,19 @@ and refuses further mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import is_
 from typing import Iterable
 
-from .canon import Stamped, canonical_dumps, normalize_text
+from .canon import canonical_dumps, normalize_text
 from .energy import VisualItem
 from .errors import DomainError
 
 GRAPH_SCHEMA = "memory-graph/1"
 ROOT_TITLE = "root"
 # linearize's cache entry for a node position it has not rendered yet
-_NO_LINE = (None, "", "", None, "")
+_NO_LINE = (None, (), "", "", (), "")
 
 
 class GraphError(DomainError):
@@ -78,12 +79,11 @@ class NodeKind(str, Enum):
     ANSWER = "answer"
 
 
-@dataclass
-class MemoryNode(Stamped):
+@dataclass(frozen=True)
+class MemoryNode:
     """One epistemic state: where it hangs (parents), what was asked (query),
     what was learned (summary), and which bank items back it up (items).
-    Each write stamps the node, so :meth:`MemoryGraph.linearize` renders it
-    again only after a change."""
+    Nodes are immutable: a change is a new node put in the node's place."""
 
     index: int
     kind: NodeKind
@@ -91,7 +91,7 @@ class MemoryNode(Stamped):
     parent_indices: frozenset[int]
     query: str = ""
     summary: str = ""
-    items: list[int] = field(default_factory=list)
+    items: tuple[int, ...] = ()
     created_step: int = 0
     answer_text: str = ""
     populated: bool = False
@@ -119,7 +119,7 @@ class MemoryNode(Stamped):
             parent_indices=frozenset(record["parent_indices"]),
             query=record["query"],
             summary=record["summary"],
-            items=list(record["items"]),
+            items=tuple(record["items"]),
             created_step=record["created_step"],
             answer_text=record["answer_text"],
             populated=record["populated"],
@@ -132,20 +132,15 @@ class MemoryGraph:
     nodes: list[MemoryNode] = field(default_factory=list)
     memory_bank: list[VisualItem] = field(default_factory=list)
     step: int = 0
-    # linearize's reusable output, keyed by write stamps: node position ->
-    # (node key, text before the item fragments, text after them, item
-    # stamps, line), and bank position -> (item stamp, item fragment)
+    # linearize's reusable output, holding the records it was rendered from:
+    # node position -> (node, parent nodes, text before the item fragments,
+    # text after them, items, line), and bank position -> (item, fragment)
     _node_lines: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _item_lines: dict[int, tuple[int, str]] = field(
+    _item_lines: dict[int, tuple[VisualItem, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def __getstate__(self) -> dict:
-        # the caches are keyed by stamps from this process's counter, which
-        # another process may issue again: copies start without them
-        return {**self.__dict__, "_node_lines": {}, "_item_lines": {}}
 
     # -- reads ------------------------------------------------------------
 
@@ -204,16 +199,17 @@ class MemoryGraph:
         render distinctly (all node and item fields participate; items not
         yet attached to a node show up only in the header's bank count).
 
-        Rendering is incremental, keyed by the write stamps of nodes and
-        items (:class:`~graphmem.canon.Stamped`).  An item's JSON fragment is
-        serialized again only when the item at that bank position has a new
-        stamp.  A node's line is reused while its own stamp, its parents'
-        stamps (their titles are rendered) and the stamps of the items its
-        ``items`` list names, in order, are unchanged; otherwise it is
-        assembled from the node's own fields and the item fragments, equal
-        byte for byte to the canonical dump of its whole record.  Shaping
-        writes only the live top-K items and eviction is permanent, so most
-        nodes of a deep graph stop changing.
+        Rendering is incremental.  Nodes and items are immutable, so the
+        same object always renders the same; reuse is decided by identity
+        (``is``), never by ``==``, under which ``1`` and ``True`` are equal
+        but render differently.  An item's JSON fragment is serialized again
+        only when its bank position holds another object.  A node's line is
+        reused while the node, its parents (their titles are rendered) and
+        the items its ``items`` names are the objects it was rendered from;
+        otherwise it is assembled from the node's own fields and the item
+        fragments, equal byte for byte to the canonical dump of its whole
+        record.  Shaping replaces only the live top-K items and eviction is
+        permanent, so most nodes of a deep graph stop changing.
         """
         lines = [
             canonical_dumps(
@@ -229,22 +225,25 @@ class MemoryGraph:
         nodes, bank = self.nodes, self.memory_bank
         node_lines, item_lines = self._node_lines, self._item_lines
         for position, node in enumerate(nodes):
-            parents = sorted(node.parent_indices)
-            key = (node.stamp, *[nodes[p].stamp for p in parents])
+            parents = [nodes[p] for p in sorted(node.parent_indices)]
             items = [bank[k] for k in node.items] if node.kind is NodeKind.SEARCH else []
-            item_stamps = [item.stamp for item in items]
-            cached_key, head, tail, cached_stamps, line = node_lines.get(position, _NO_LINE)
-            if cached_key != key:
-                head, tail = _node_parts(node, [nodes[p].title for p in parents])
-            if cached_key != key or cached_stamps != item_stamps:
+            cached, cached_parents, head, tail, cached_items, line = node_lines.get(
+                position, _NO_LINE
+            )
+            # pairwise checks suffice: the same node has as many parents and
+            # items as when it was cached
+            same_node = cached is node and all(map(is_, cached_parents, parents))
+            if not same_node:
+                head, tail = _node_parts(node, [parent.title for parent in parents])
+            if not same_node or not all(map(is_, cached_items, items)):
                 fragments = []
                 for k, item in zip(node.items, items):
                     entry = item_lines.get(k)
-                    if entry is None or entry[0] != item.stamp:
-                        entry = item_lines[k] = (item.stamp, canonical_dumps(_item_record(item)))
+                    if entry is None or entry[0] is not item:
+                        entry = item_lines[k] = (item, canonical_dumps(_item_record(item)))
                     fragments.append(entry[1])
                 line = head + ",".join(fragments) + tail
-                node_lines[position] = (key, head, tail, item_stamps, line)
+                node_lines[position] = (node, parents, head, tail, items, line)
             lines.append(line)
         return "\n".join(lines) + "\n"
 
@@ -281,13 +280,11 @@ class MemoryGraph:
             raise NotASearchNode(f"node {index} is a {node.kind.value} node")
         if node.populated:
             raise AlreadyPopulated(f"node {index} was already populated")
-        refs = list(item_refs)
+        refs = tuple(item_refs)
         for ref in refs:
             if not 0 <= ref < len(self.memory_bank):
                 raise BadItemRef(f"no memory bank item at ordinal {ref}")
-        node.summary = summary
-        node.items = refs
-        node.populated = True
+        self.nodes[index] = replace(node, summary=summary, items=refs, populated=True)
         self.validate()
 
     def add_answer_node(self, parent_titles: Iterable[str], answer: str) -> int:

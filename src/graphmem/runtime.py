@@ -642,8 +642,6 @@ def run_episode(
                 ("user", pending.observation_text + "\n" + MEMORIZE_PROMPT),
             )
             raw2, parsed2 = _act_and_parse(policy, bundle, followup)
-            if not isinstance(parsed2.action, Memorize):
-                raise IllegalTransition("memorize", _action_kind(parsed2.action))
             apply_action(state, parsed2.action, corpus, config)
             record = replace(
                 record,

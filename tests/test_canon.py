@@ -1,40 +1,8 @@
-import copy
 import os
-import pickle
 
 import pytest
 
 from graphmem.canon import write_text_atomic
-from graphmem.energy import ItemModality, VisualItem
-from graphmem.graph import new_graph
-
-
-def item() -> VisualItem:
-    return VisualItem(0, 0, 0, ItemModality.TEXT, "corpus://doc")
-
-
-class TestWriteStamps:
-    def test_every_write_takes_a_fresh_stamp(self):
-        it = item()
-        seen = [it.stamp]
-        it.allocated_budget = 3
-        seen.append(it.stamp)
-        it.allocated_budget = 3  # the same value again
-        seen.append(it.stamp)
-        it.saliency = True  # equal to 1 in Python, but not in JSON
-        seen.append(it.stamp)
-        assert seen == sorted(set(seen))
-
-    def test_objects_never_share_a_stamp(self):
-        first, second = item(), item()
-        assert first == second
-        assert first.stamp != second.stamp
-
-    def test_copies_are_stamped_afresh(self):
-        node = new_graph("q").nodes[0]
-        for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
-            assert twin == node
-            assert twin.stamp > node.stamp
 
 
 class TestWriteTextAtomic:
@@ -72,6 +40,14 @@ class TestWriteTextAtomic:
         # each writer has its own temporary file beside the target
         assert len(set(temps)) == 2
         assert all(os.path.dirname(t) == str(tmp_path) for t in temps)
+
+    def test_os_error_names_the_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as excinfo:
+            write_text_atomic(target, "new\n")
+        assert (excinfo.value.filename, excinfo.value.filename2) == (str(target), None)
+        assert str(excinfo.value).endswith(f": {str(target)!r}")
 
     def test_failed_cleanup_keeps_the_original_error(self, tmp_path):
         (tmp_path / "file").write_text("", encoding="utf-8")

@@ -1,5 +1,7 @@
 import http.client
 import json
+import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -266,6 +268,20 @@ class TestRemoteRun:
             # the golden was judged; this run had no gold
             assert produced.splitlines()[1:] == golden.splitlines()[1:]
 
+    def test_output_directory_fails_before_any_policy_call(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        with KeepAliveStub(lambda n: (500, b"unexpected")) as stub:
+            config = self.remote_config(tmp_path, stub.base_url)
+            code = main([
+                "run", "--config", str(config), "--query", DEMO_QUERY, "--out", str(out),
+            ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [IsADirectoryError]: ")
+        assert err.endswith(f"{str(out)!r}\n")
+        assert err.count("\n") == 1
+        assert stub.headers == []
 
     def test_batch_reports_every_failed_episode(self, tmp_path, capsys):
         script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
@@ -507,23 +523,26 @@ OS_FAILURES = {
     "run output under a file": (
         lambda tmp, port: _run_with(tmp) + ["--out", str(tmp / "file" / "x" / "t.jsonl")],
         "NotADirectoryError",
+        lambda tmp: tmp / "file" / "x",
     ),
     "stats output under a file": (
         lambda tmp, port: ["stats", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl"),
                            "--out", str(tmp / "file" / "x.json")],
         "NotADirectoryError",
+        lambda tmp: tmp / "file" / "x.json",
     ),
     "serve on a taken port": (
         lambda tmp, port: ["serve", "--corpus", str(FIXTURES / "demo_corpus.json"),
                            "--port", str(port)],
         "OSError",
+        None,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OS_FAILURES))
 def test_os_failure_is_one_typed_line(tmp_path, capsys, case):
-    argv_for, code = OS_FAILURES[case]
+    argv_for, code, target_for = OS_FAILURES[case]
     (tmp_path / "file").write_text("", encoding="utf-8")
     with socket.socket() as taken:
         taken.bind(("127.0.0.1", 0))
@@ -532,6 +551,33 @@ def test_os_failure_is_one_typed_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error [{code}]: ")
     assert err.count("\n") == 1
+    if target_for is not None:
+        assert err.endswith(f"{str(target_for(tmp_path))!r}\n")
+        assert ".tmp" not in err
+
+
+def test_make_goldens_reproduces_the_committed_files(tmp_path):
+    """scripts/make_goldens.py, run on a copy of tests/ without its goldens,
+    writes every golden and fixture byte for byte as committed."""
+    root = Path(__file__).parent.parent
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(root / "scripts" / "make_goldens.py", tmp_path / "scripts")
+    shutil.copytree(
+        root / "tests", tmp_path / "tests", ignore=shutil.ignore_patterns("__pycache__", "golden")
+    )
+    result = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "make_goldens.py")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    for name in ("golden", "fixtures"):
+        committed = sorted(p.relative_to(root) for p in (root / "tests" / name).rglob("*"))
+        made = sorted(p.relative_to(tmp_path) for p in (tmp_path / "tests" / name).rglob("*"))
+        assert made == committed
+        for path in committed:
+            if (root / path).is_file():
+                assert (tmp_path / path).read_bytes() == (root / path).read_bytes(), path
 
 
 def test_console_entry_point():

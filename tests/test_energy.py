@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -312,7 +313,7 @@ class TestShaping:
         shape_memory(g, params)
         assert g.memory_bank[1].dropped
         # raise the evicted item's priority; it must not come back
-        g.memory_bank[1].priority = 5
+        g.memory_bank[1] = dataclasses.replace(g.memory_bank[1], priority=5)
         g.step += 1
         assignment = shape_memory(g, params)
         assert g.memory_bank[1].dropped

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -111,7 +112,7 @@ class TestPopulate:
         g = build_demo_graph()
         assert g.nodes[1].populated
         assert g.nodes[1].summary == "X was directed by Y"
-        assert g.nodes[1].items == [0]
+        assert g.nodes[1].items == (0,)
 
     def test_second_populate_rejected(self):
         g = build_demo_graph()
@@ -123,7 +124,7 @@ class TestPopulate:
         g.add_search_node("s", {"root"}, "irrelevant query")
         g.populate_node(1, "no relevant results", [])
         assert g.nodes[1].populated
-        assert g.nodes[1].items == []
+        assert g.nodes[1].items == ()
 
     def test_bad_item_ref(self):
         g = new_graph("q")
@@ -207,6 +208,20 @@ class TestOutDegree:
         assert centrality(g, 1) == 1 + 1
 
 
+class TestFrozenRecords:
+    def test_fields_cannot_be_assigned(self):
+        g = build_demo_graph()
+        for record in (g.nodes[1], g.memory_bank[0]):
+            for f in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, getattr(record, f.name))
+
+    def test_replace_checks_the_new_item(self):
+        item = build_demo_graph().memory_bank[0]
+        with pytest.raises(ValueError, match="no budget"):
+            dataclasses.replace(item, dropped=True, allocated_budget=3)
+
+
 class TestLinearize:
     def test_fresh_graph_single_record(self):
         text = new_graph("Who directed X?").linearize()
@@ -227,20 +242,19 @@ class TestLinearize:
     def test_injective_under_field_changes(self):
         base = build_demo_graph().linearize()
         g = build_demo_graph()
-        g.nodes[1].summary = "X was directed by Z"
+        g.nodes[1] = dataclasses.replace(g.nodes[1], summary="X was directed by Z")
         assert g.linearize() != base
         g = build_demo_graph()
-        g.memory_bank[0].allocated_budget = 7
+        g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], allocated_budget=7)
         assert g.linearize() != base
         g = build_demo_graph()
         g.step += 1
         assert g.linearize() != base
         g = build_demo_graph()
-        g.memory_bank[0].dropped = True
-        g.memory_bank[0].allocated_budget = 0
+        g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], dropped=True, allocated_budget=0)
         assert g.linearize() != base
         g = build_demo_graph()
-        g.memory_bank[0].saliency = 0
+        g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], saliency=0)
         assert g.linearize() != base
         g = build_demo_graph()
         g.append_item(VisualItem(1, 1, 1, ItemModality.IMAGE, "stray"))
@@ -252,13 +266,14 @@ class TestLinearize:
         first = g.linearize()
         item = g.memory_bank[0]
         assert not item.dropped
-        item.allocated_budget -= 1
+        g.memory_bank[0] = dataclasses.replace(item, allocated_budget=item.allocated_budget - 1)
         second = g.linearize()
         assert second != first
         assert second == MemoryGraph.from_dict(g.to_dict()).linearize()
-        item.allocated_budget = 1
+        g.memory_bank[0] = dataclasses.replace(item, allocated_budget=1)
         assert '"budget":1,' in g.linearize()
-        item.allocated_budget = True  # equal to 1 in Python, but not in JSON
+        # equal to 1 in Python, but not in JSON
+        g.memory_bank[0] = dataclasses.replace(item, allocated_budget=True)
         assert '"budget":true,' in g.linearize()
 
     @settings(max_examples=150, deadline=None)
@@ -298,26 +313,28 @@ class TestLinearize:
             elif op == "shape":
                 shape_memory(g, EnergyParams(top_k=rng.randint(1, 3), s_total=1000))
             elif op == "summary" and searches:
-                rng.choice(searches).summary = f"edited {seed}"
+                i = rng.choice(searches).index
+                g.nodes[i] = dataclasses.replace(g.nodes[i], summary=f"edited {seed}")
             elif op == "budget" and live:
-                rng.choice(live).allocated_budget = rng.randint(0, 5)
+                k = rng.choice(live).ordinal
+                items[k] = dataclasses.replace(items[k], allocated_budget=rng.randint(0, 5))
             elif op == "step":
                 g.step += 1
             elif op == "dropped" and live:
-                item = rng.choice(live)
-                item.dropped = True
-                item.allocated_budget = 0
+                k = rng.choice(live).ordinal
+                items[k] = dataclasses.replace(items[k], dropped=True, allocated_budget=0)
             elif op == "saliency" and items:
-                rng.choice(items).saliency = rng.choice([0, 1])
+                k = rng.randrange(len(items))
+                items[k] = dataclasses.replace(items[k], saliency=rng.choice([0, 1]))
             elif op == "append" and not g.is_terminal:
                 g.append_item(random_item(rng, len(items), rng.randrange(len(g.nodes)), -1))
             elif op == "retype" and items:
-                item = rng.choice(items)  # same value, other type: 1 -> True, 12.0 -> 12
-                saliency = item.saliency
-                item.saliency = bool(saliency) if type(saliency) is int else int(saliency)
-                if item.source_timestamp_s is not None:
-                    ts = item.source_timestamp_s
-                    item.source_timestamp_s = int(ts) if type(ts) is float else float(ts)
+                k = rng.randrange(len(items))  # same value, other type: 1 -> True, 12.0 -> 12
+                saliency, ts = items[k].saliency, items[k].source_timestamp_s
+                changes = {"saliency": bool(saliency) if type(saliency) is int else int(saliency)}
+                if ts is not None:
+                    changes["source_timestamp_s"] = int(ts) if type(ts) is float else float(ts)
+                items[k] = dataclasses.replace(items[k], **changes)
             assert g.linearize() == MemoryGraph.from_dict(g.to_dict()).linearize()
 
 
@@ -327,8 +344,8 @@ class TestLinearize:
         st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["retitle", "swap_item", "swap_node", "edit_items", "deepcopy", "add",
-                     "populate", "shape", "budget"]
+                    ["retitle", "swap_item", "swap_node", "edit_items", "deepcopy", "pickle",
+                     "add", "populate", "shape", "budget"]
                 ),
                 st.integers(min_value=0, max_value=2**32 - 1),
             ),
@@ -336,18 +353,18 @@ class TestLinearize:
         ),
     )
     def test_reuse_survives_replacements_and_copies(self, start, ops):
-        """Edits the stamps must see through: a parent's title, a bank slot
-        or node slot holding a new object, a node's item list changed in
-        place, and a deep copy of a rendered graph edited afterwards."""
+        """Edits reuse must see through: a parent's title, a bank slot or
+        node slot holding a new object, a node's item list replaced, and a
+        deep copy or pickled copy of a rendered graph edited afterwards."""
         g = random_graph_with_items(random.Random(start), max_nodes=8)
-        previous = None  # the graph a deep copy was taken from
+        previous = None  # the graph the last copy was taken from
         for counter, (op, seed) in enumerate(ops):
             rng = random.Random(seed)
             searches = [n for n in g.nodes if n.kind is NodeKind.SEARCH]
             bank = g.memory_bank
             if op == "retitle":
-                titled = [n for n in g.nodes if n.kind is not NodeKind.ANSWER]
-                rng.choice(titled).title = f"renamed {counter}"
+                i = rng.choice([n for n in g.nodes if n.kind is not NodeKind.ANSWER]).index
+                g.nodes[i] = dataclasses.replace(g.nodes[i], title=f"renamed {counter}")
             elif op == "swap_item" and bank:
                 k = rng.randrange(len(bank))
                 changes = rng.choice([{}, {"payload_ref": f"swap://{counter}"}, {"priority": 1}])
@@ -357,7 +374,8 @@ class TestLinearize:
                 changes = rng.choice([{}, {"summary": f"swapped {counter}"}])
                 g.nodes[i] = dataclasses.replace(g.nodes[i], **changes)
             elif op == "edit_items" and searches:
-                items = rng.choice(searches).items
+                i = rng.choice(searches).index
+                items = list(g.nodes[i].items)
                 edit = rng.choice(["append", "reverse", "pop", "clear"])
                 if edit == "append" and bank:
                     items.append(rng.randrange(len(bank)))
@@ -367,8 +385,11 @@ class TestLinearize:
                     items.pop(rng.randrange(len(items)))
                 elif edit == "clear":
                     items.clear()
+                g.nodes[i] = dataclasses.replace(g.nodes[i], items=tuple(items))
             elif op == "deepcopy":
                 previous, g = g, copy.deepcopy(g)
+            elif op == "pickle":
+                previous, g = g, pickle.loads(pickle.dumps(g))
             elif op == "add" and not g.is_terminal:
                 parents = rng.sample(g.nodes, rng.randint(1, min(2, len(g.nodes))))
                 g.add_search_node(f"added {counter}", {n.title for n in parents}, f"q {seed}")
@@ -386,7 +407,8 @@ class TestLinearize:
             elif op == "budget":
                 live = [item for item in bank if not item.dropped]
                 if live:
-                    rng.choice(live).allocated_budget = rng.randint(0, 5)
+                    k = rng.choice(live).ordinal
+                    bank[k] = dataclasses.replace(bank[k], allocated_budget=rng.randint(0, 5))
             for graph in (g, previous) if previous is not None else (g,):
                 assert graph.linearize() == MemoryGraph.from_dict(graph.to_dict()).linearize()
 

@@ -124,13 +124,20 @@ class TestRunEpisode:
         with pytest.raises(IllegalTransition):
             run_episode(ScriptedPolicy(script), toy_corpus, DEMO_QUERY, demo_config())
 
-    def test_retrieve_in_memorize_turn_is_illegal(self, toy_corpus):
+    @pytest.mark.parametrize(
+        "reply, got",
+        [(Retrieve("s2", ("root",), "query two"), "retrieve"), (Answer(("root",), "x"), "answer")],
+        ids=["retrieve", "answer"],
+    )
+    def test_retrieve_in_memorize_turn_is_illegal(self, toy_corpus, reply, got):
         script = [
             serialize_action(Retrieve("s1", ("root",), "query one"), "t"),
-            serialize_action(Retrieve("s2", ("root",), "query two"), "t"),
+            serialize_action(reply, "t"),
         ]
-        with pytest.raises(IllegalTransition):
+        with pytest.raises(IllegalTransition) as excinfo:
             run_episode(ScriptedPolicy(script), toy_corpus, DEMO_QUERY, demo_config())
+        assert excinfo.value.expected == "memorize"
+        assert excinfo.value.got == got
 
     def test_unoffered_information_id_rejected(self, toy_corpus):
         script = [
@@ -191,7 +198,7 @@ class TestApplyAction:
         apply_action(state, memorize, toy_corpus, config)
         assert state.pending is None
         assert state.graph.nodes[1].populated
-        assert state.graph.nodes[1].items == [0]
+        assert state.graph.nodes[1].items == (0,)
         assert state.graph.memory_bank[0].priority == 5
 
     def test_answer_while_pending_is_illegal(self, toy_corpus):
@@ -209,7 +216,7 @@ class TestApplyAction:
         memorize = Memorize("nothing", (MemorizeDecision("Text 1", False, (), 1),))
         apply_action(state, memorize, toy_corpus, config)
         assert state.graph.memory_bank == []
-        assert state.graph.nodes[1].items == []
+        assert state.graph.nodes[1].items == ()
 
 
 class TestJudges:
