@@ -4,17 +4,25 @@ modules.
 Everything that leaves the process (graph files, trajectories, wire
 payloads) goes through :func:`canonical_dumps` so that identical
 in-memory values always produce identical bytes, and output files are
-written whole through :func:`write_text_atomic`.
+written whole through :func:`write_text_atomic`.  Saved record types
+derive their JSON form from their fields through :class:`Record`, and JSON
+from outside the process is parsed through :func:`parse_json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import os
 import re
+import types
+import typing
+from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .errors import DomainError
@@ -65,12 +73,23 @@ def read_text(path: str | Path, error: type["DomainError"]) -> str:
         raise error(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def parse_json(text: str | bytes) -> Any:
+    """``json.loads`` for input from outside the process.  Nesting too deep
+    for the parser raises ``json.JSONDecodeError``, as any other malformed
+    JSON does, not ``RecursionError``, so the caller's handler for bad JSON
+    turns it into the caller's typed error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
+
+
 def read_json(path: str | Path, error: type["DomainError"]) -> Any:
     """The parsed content of a JSON input file; any failure to read or parse
     it raises the caller's ``error``, naming the path."""
     text = read_text(path, error)
     try:
-        return json.loads(text)
+        return parse_json(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
@@ -79,11 +98,14 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` in UTF-8 so that readers see the old file or
     the whole new one, never part of it: the text goes to a temporary file in
     the same directory, named uniquely per call, which then replaces
-    ``path``.  On failure the temporary file is removed, ``path`` is left as
-    it was, and an OS error names ``path``, not the temporary file."""
+    ``path``.  A missing directory is made first.  On failure the temporary
+    file is removed, ``path`` is left as it was, and an OS error names
+    ``path``, not the temporary file."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
+        if not path.parent.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
         with open(temp, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(temp, path)
@@ -97,3 +119,99 @@ def write_text_atomic(path: str | Path, text: str) -> None:
             exc.filename = str(path)
             del exc.filename2  # unset, so the message names one path
         raise
+
+
+class Record:
+    """Base of the dataclasses saved as JSON objects: graph nodes and bank
+    items, corpus items, observations, cycle records and training segments.
+    ``to_dict`` and ``from_dict`` follow each field's type:
+
+    - an enum is written as its value, a frozenset as a sorted list, a tuple
+      as a list, element by element, and a nested record as its dict;
+      reading converts back;
+    - a field whose type admits ``None`` is left out while it is ``None``,
+      and its key may be missing; a ``null`` there reads as ``None``;
+    - every other key must be present, and a ``null`` in it is converted
+      like any other value, so it fails where the type needs a conversion.
+
+    A subclass names its exceptions in its class statement: ``keep_null``
+    fields are written as ``null`` and must be present, ``omit_empty``
+    fields are left out while empty and may be missing, and ``optional``
+    fields may be missing.  A missing key takes the field's default.
+    """
+
+    def __init_subclass__(cls, *, keep_null=(), omit_empty=(), optional=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._rules = (frozenset(keep_null), frozenset(omit_empty), frozenset(optional))
+
+    def to_dict(self) -> dict:
+        record = {}
+        for name, encode, omit_none, omit_empty in _codec(type(self))[0]:
+            value = getattr(self, name)
+            if value is None:
+                if omit_none:
+                    continue
+            elif omit_empty and not value:
+                continue
+            elif encode is not None:
+                value = encode(value)
+            record[name] = value
+        return record
+
+    @classmethod
+    def from_dict(cls, record: dict):
+        values = []
+        for name, default, decode in _codec(cls)[1]:
+            value = record[name] if default is dataclasses.MISSING else record.get(name, default)
+            values.append(value if decode is None else decode(value))
+        return cls(*values)
+
+
+@functools.cache
+def _codec(cls: type) -> tuple[tuple, tuple]:
+    """The writers and readers of a record class, one per field in order."""
+    keep_null, omit_empty, optional = cls._rules
+    hints = typing.get_type_hints(cls)
+    writers, readers = [], []
+    for field in dataclasses.fields(cls):
+        name = field.name
+        encode, decode = _converters(hints[name])
+        omit_none = type(None) in typing.get_args(hints[name]) and name not in keep_null
+        may_miss = omit_none or name in omit_empty or name in optional
+        writers.append((name, encode, omit_none, name in omit_empty))
+        # a field without a default is read as required all the same
+        readers.append((name, field.default if may_miss else dataclasses.MISSING, decode))
+    return tuple(writers), tuple(readers)
+
+
+def _converters(tp: Any) -> tuple[Callable | None, Callable | None]:
+    """How a value of type ``tp`` is written to JSON and read back; None
+    where it passes unchanged."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union or origin is types.UnionType:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        encode, decode = _converters(inner)
+        if decode is None:
+            return encode, None
+        return encode, lambda value: None if value is None else decode(value)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return operator.attrgetter("value"), tp
+    if hasattr(tp, "from_dict"):
+        return tp.to_dict, tp.from_dict
+    if origin is frozenset or (origin is tuple and args[1:] == (...,)):
+        encode, decode = _converters(args[0])
+        written = sorted if origin is frozenset else list
+        return (
+            written if encode is None else lambda value: written(map(encode, value)),
+            origin if decode is None else lambda value: origin(map(decode, value)),
+        )
+    if origin is tuple:  # a fixed-length tuple of plain values
+        return list, functools.partial(_fixed_tuple, len(args))
+    return None, None
+
+
+def _fixed_tuple(length: int, value: Any) -> tuple:
+    value = tuple(value)
+    if len(value) != length:
+        raise ValueError(f"expected {length} values, got {len(value)}")
+    return value

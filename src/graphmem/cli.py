@@ -16,7 +16,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable
 
-from .canon import canonical_dumps, read_json, read_text, write_text_atomic
+from .canon import canonical_dumps, parse_json, read_json, read_text, write_text_atomic
 from .config import Config, ConfigError, dump_config, load_config
 from .errors import DomainError
 from .retrieval import (
@@ -154,7 +154,7 @@ def _apply_overrides(config: Config, overrides: list[str]) -> Config:
         if not _ or field_name not in known:
             raise ConfigError(f"bad override {override!r}; use one of {sorted(known)}")
         try:
-            record[field_name] = json.loads(raw)
+            record[field_name] = parse_json(raw)
         except json.JSONDecodeError:
             record[field_name] = raw
     return Config(**record)
@@ -169,7 +169,7 @@ def _read_queries(path: str) -> list[dict]:
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
+            entry = parse_json(line)
         except json.JSONDecodeError as exc:
             raise BadInputFile(f"{path}:{number}: not valid JSON: {exc}") from exc
         if not (
@@ -265,7 +265,6 @@ def cmd_prune(args: argparse.Namespace) -> int:
         audits.append(audit_report(group, group_trajectories))
 
     batch_path = Path(args.out_batch)
-    batch_path.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(batch_path, export_training_batch(groups))
     audit_text = "\n".join(audits)
     if args.out_audit:

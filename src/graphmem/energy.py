@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .canon import Record
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -40,7 +41,7 @@ class ItemModality(str, Enum):
 
 
 @dataclass(frozen=True)
-class VisualItem:
+class VisualItem(Record):
     """One entry of the graph's memory bank.
 
     ``ordinal`` is the item's position in the bank, ``owner_node``/``slot``
@@ -71,37 +72,6 @@ class VisualItem:
             raise ValueError("allocated_budget must be >= 0")
         if self.dropped and self.allocated_budget != 0:
             raise ValueError("dropped items carry no budget")
-
-    def to_dict(self) -> dict:
-        record = {
-            "ordinal": self.ordinal,
-            "owner_node": self.owner_node,
-            "slot": self.slot,
-            "modality": self.modality.value,
-            "payload_ref": self.payload_ref,
-            "saliency": self.saliency,
-            "priority": self.priority,
-            "allocated_budget": self.allocated_budget,
-            "dropped": self.dropped,
-        }
-        if self.source_timestamp_s is not None:
-            record["source_timestamp_s"] = self.source_timestamp_s
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "VisualItem":
-        return cls(
-            ordinal=record["ordinal"],
-            owner_node=record["owner_node"],
-            slot=record["slot"],
-            modality=ItemModality(record["modality"]),
-            payload_ref=record["payload_ref"],
-            saliency=record["saliency"],
-            priority=record["priority"],
-            source_timestamp_s=record.get("source_timestamp_s"),
-            allocated_budget=record["allocated_budget"],
-            dropped=record["dropped"],
-        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from enum import Enum
 from operator import is_
 from typing import Iterable
 
-from .canon import canonical_dumps, normalize_text
+from .canon import Record, canonical_dumps, normalize_text
 from .energy import VisualItem
 from .errors import DomainError
 
@@ -80,7 +80,7 @@ class NodeKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class MemoryNode:
+class MemoryNode(Record):
     """One epistemic state: where it hangs (parents), what was asked (query),
     what was learned (summary), and which bank items back it up (items).
     Nodes are immutable: a change is a new node put in the node's place."""
@@ -95,35 +95,6 @@ class MemoryNode:
     created_step: int = 0
     answer_text: str = ""
     populated: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind.value,
-            "title": self.title,
-            "parent_indices": sorted(self.parent_indices),
-            "query": self.query,
-            "summary": self.summary,
-            "items": list(self.items),
-            "created_step": self.created_step,
-            "answer_text": self.answer_text,
-            "populated": self.populated,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "MemoryNode":
-        return cls(
-            index=record["index"],
-            kind=NodeKind(record["kind"]),
-            title=record["title"],
-            parent_indices=frozenset(record["parent_indices"]),
-            query=record["query"],
-            summary=record["summary"],
-            items=tuple(record["items"]),
-            created_step=record["created_step"],
-            answer_text=record["answer_text"],
-            populated=record["populated"],
-        )
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .canon import canonical_dumps, sha256_hex
+from .canon import canonical_dumps, parse_json, sha256_hex
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,6 +38,9 @@ TOOL_MEMORIZE = "summarize_and_memorize"
 
 WARN_TRAILING_TEXT = "trailing-text"
 WARN_PRIORITY_CLAMPED = "priority-clamped"
+# key timestamps stop here: tenths of a second must fit the 28 digits of
+# the default decimal context when a timestamp is quantized
+_TIMESTAMP_LIMIT_S = 1e27
 
 
 class ProtocolError(DomainError):
@@ -112,8 +115,10 @@ class MemorizeDecision:
             raise ValueError(f"priority_score must be an integer in [1, 5], got {self.priority_score!r}")
         quantized = []
         for ts in self.key_timestamps_s:
-            if ts < 0:
-                raise ValueError(f"key timestamp must be >= 0, got {ts!r}")
+            if not 0 <= ts < _TIMESTAMP_LIMIT_S:
+                raise ValueError(
+                    f"key timestamp must be >= 0 and below {_TIMESTAMP_LIMIT_S:g}, got {ts!r}"
+                )
             quantized.append(quantize_timestamp(ts))
         object.__setattr__(self, "key_timestamps_s", tuple(quantized))
 
@@ -225,9 +230,14 @@ def _parse_timestamps(entry: dict) -> tuple[float, ...]:
         )
     out = []
     for ts in value:
-        if isinstance(ts, bool) or not isinstance(ts, (int, float)) or ts < 0:
+        if (
+            isinstance(ts, bool)
+            or not isinstance(ts, (int, float))
+            or not 0 <= ts < _TIMESTAMP_LIMIT_S
+        ):
             raise SchemaViolation(
-                "key timestamps must be non-negative numbers", field_name="key_timestamp"
+                f"key timestamps must be numbers >= 0 and below {_TIMESTAMP_LIMIT_S:g}",
+                field_name="key_timestamp",
             )
         out.append(float(ts))
     return tuple(out)
@@ -279,7 +289,7 @@ def parse_response(text: str) -> ParsedResponse:
         raise MissingToolCall("no complete <tool_call> envelope found")
     payload_text = call_match.group(1)
     try:
-        payload = json.loads(payload_text)
+        payload = parse_json(payload_text)
     except json.JSONDecodeError as exc:
         raise MalformedPayload(
             f"tool call payload is not valid JSON: {exc.msg}",

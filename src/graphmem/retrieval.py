@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .canon import canonical_dumps, read_json, write_text_atomic
+from .canon import Record, canonical_dumps, read_json, write_text_atomic
 from .energy import ItemModality, VisualItem
 from .errors import DomainError
 
@@ -69,7 +69,7 @@ class Modality(str, Enum):
 
 
 @dataclass(frozen=True)
-class CorpusItem:
+class CorpusItem(Record, optional=("asset_ref",)):
     """One store entry.  ``content`` is the text body for text items and the
     caption used for indexing otherwise.  ``asset_ref`` is an opaque pointer
     to the underlying asset; no pixels are stored here."""
@@ -89,27 +89,6 @@ class CorpusItem:
                 raise ValueError(f"video {self.id!r} needs a finite duration_s > 0")
         elif self.duration_s is not None:
             raise ValueError(f"non-video {self.id!r} must not carry a duration")
-
-    def to_dict(self) -> dict:
-        record = {
-            "id": self.id,
-            "modality": self.modality.value,
-            "content": self.content,
-            "asset_ref": self.asset_ref,
-        }
-        if self.duration_s is not None:
-            record["duration_s"] = self.duration_s
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "CorpusItem":
-        return cls(
-            id=record["id"],
-            modality=Modality(record["modality"]),
-            content=record["content"],
-            duration_s=record.get("duration_s"),
-            asset_ref=record.get("asset_ref", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -145,7 +124,7 @@ class Corpus:
 
 
 @dataclass(frozen=True)
-class Observation:
+class Observation(Record, omit_empty=("frames",), optional=("asset_ref",)):
     """One search hit as offered to the policy.  ``id`` is dense per modality
     within the result list ("Text 1", "Video 2", ...); video hits carry their
     clip bounds and uniformly pre-sampled frames."""
@@ -159,35 +138,6 @@ class Observation:
     clip_start_s: float | None = None
     clip_end_s: float | None = None
     frames: tuple[tuple[float, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        record = {
-            "id": self.id,
-            "source_id": self.source_id,
-            "modality": self.modality.value,
-            "score": self.score,
-            "content": self.content,
-            "asset_ref": self.asset_ref,
-        }
-        if self.clip_start_s is not None:
-            record["clip_start_s"] = self.clip_start_s
-            record["clip_end_s"] = self.clip_end_s
-            record["frames"] = [[ts, ref] for ts, ref in self.frames]
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "Observation":
-        return cls(
-            id=record["id"],
-            source_id=record["source_id"],
-            modality=Modality(record["modality"]),
-            score=record["score"],
-            content=record["content"],
-            asset_ref=record.get("asset_ref", ""),
-            clip_start_s=record.get("clip_start_s"),
-            clip_end_s=record.get("clip_end_s"),
-            frames=tuple((ts, ref) for ts, ref in record.get("frames", [])),
-        )
 
 
 @functools.lru_cache(maxsize=_BUCKET_CACHE_SIZE)

@@ -23,7 +23,15 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from .canon import canonical_dumps, normalize_text, read_json, read_text, write_text_atomic
+from .canon import (
+    Record,
+    canonical_dumps,
+    normalize_text,
+    parse_json,
+    read_json,
+    read_text,
+    write_text_atomic,
+)
 from .energy import BudgetAssignment, EnergyParams, ItemModality, VisualItem, shape_memory
 from .errors import DomainError
 from .graph import GraphError, MemoryGraph, NodeKind, new_graph
@@ -188,7 +196,7 @@ class ChatCompletionsClient:
         if not 200 <= status < 300:
             raise PolicyUnreachable(f"POST {self._url} answered HTTP {status}")
         try:
-            data = json.loads(reply)
+            data = parse_json(reply)
         except ValueError as exc:
             raise PolicyProtocolError(f"chat-completions response is not JSON: {exc}") from exc
         try:
@@ -314,7 +322,7 @@ class EpisodeConfig:
 
 
 @dataclass
-class CycleRecord:
+class CycleRecord(Record, keep_null=("memorize_action",)):
     """Everything one cycle produced: the prompt fingerprint, the raw and
     parsed responses of both turns, the observations, and the shaping
     assignment in force when the prompt was rendered."""
@@ -332,41 +340,6 @@ class CycleRecord:
     memorize_prompt_chars: int = 0
     memorize_response: str = ""
     memorize_action: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "step": self.step,
-            "prompt_digest": self.prompt_digest,
-            "prompt_chars": self.prompt_chars,
-            "response": self.response,
-            "action": self.action,
-            "kind": self.kind,
-            "node_index": self.node_index,
-            "assignment": self.assignment.to_dict(),
-            "observations": [obs.to_dict() for obs in self.observations],
-            "memorize_prompt_chars": self.memorize_prompt_chars,
-            "memorize_response": self.memorize_response,
-            "memorize_action": self.memorize_action,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "CycleRecord":
-        return cls(
-            cycle=record["cycle"],
-            step=record["step"],
-            prompt_digest=record["prompt_digest"],
-            prompt_chars=record["prompt_chars"],
-            response=record["response"],
-            action=record["action"],
-            kind=record["kind"],
-            node_index=record["node_index"],
-            assignment=BudgetAssignment.from_dict(record["assignment"]),
-            observations=tuple(Observation.from_dict(o) for o in record["observations"]),
-            memorize_prompt_chars=record["memorize_prompt_chars"],
-            memorize_response=record["memorize_response"],
-            memorize_action=record["memorize_action"],
-        )
 
 
 @dataclass
@@ -427,7 +400,7 @@ class Trajectory:
         if not lines:
             raise CorruptSession("empty trajectory file")
         try:
-            meta = json.loads(lines[0])
+            meta = parse_json(lines[0])
         except json.JSONDecodeError as exc:
             raise CorruptSession(f"bad trajectory meta line: {exc}") from exc
         if not isinstance(meta, dict):
@@ -437,7 +410,7 @@ class Trajectory:
                 f"expected a {TRAJECTORY_SCHEMA!r} meta line, got {meta.get('schema')!r}"
             )
         try:
-            records = [CycleRecord.from_dict(json.loads(line)) for line in lines[1:]]
+            records = [CycleRecord.from_dict(parse_json(line)) for line in lines[1:]]
             return cls(
                 query=meta["query"],
                 records=records,

@@ -16,10 +16,9 @@ idle or in the middle of a body, is closed without a reply.
 
 from __future__ import annotations
 
-import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .canon import canonical_dumps
+from .canon import canonical_dumps, parse_json
 from .errors import DomainError
 from .retrieval import Corpus, RetrievalError, search
 
@@ -76,7 +75,7 @@ def make_search_server(
                 length = int(self.headers.get("Content-Length", "0"))
                 if not 0 <= length <= MAX_BODY_BYTES:
                     raise ValueError(f"Content-Length must be in [0, {MAX_BODY_BYTES}]")
-                request = json.loads(self.rfile.read(length).decode("utf-8"))
+                request = parse_json(self.rfile.read(length).decode("utf-8"))
                 if not isinstance(request, dict):
                     raise ValueError("body must be a JSON object")
                 query = request["query"]
@@ -85,7 +84,7 @@ def make_search_server(
                     raise ValueError("query must be a string")
                 if k > MAX_K:
                     raise ValueError(f"k must be <= {MAX_K}, got {k}")
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError, OverflowError) as exc:
                 self._reply(400, {"error": f"bad request: {exc}"})
                 return
             try:

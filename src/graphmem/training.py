@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .canon import canonical_dumps
+from .canon import Record, canonical_dumps
 from .errors import DomainError
 from .graph import NodeKind
 from .runtime import Trajectory
@@ -48,7 +48,7 @@ class MaskTag(str, Enum):
 
 
 @dataclass(frozen=True)
-class TrajectorySegment:
+class TrajectorySegment(Record, keep_null=("node_index",)):
     """One node-construction unit: the prompt fingerprint plus the response
     spans of the retrieve and memorize turns, or the answer turn for the
     terminal block (``node_index`` is None there)."""
@@ -64,17 +64,6 @@ class TrajectorySegment:
     @property
     def is_terminal(self) -> bool:
         return self.node_index is None
-
-    def to_dict(self) -> dict:
-        return {
-            "rollout_id": self.rollout_id,
-            "segment_index": self.segment_index,
-            "node_index": self.node_index,
-            "prompt_digest": self.prompt_digest,
-            "retrieve_response": self.retrieve_response,
-            "memorize_response": self.memorize_response,
-            "answer_response": self.answer_response,
-        }
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import os
+from dataclasses import dataclass
 
 import pytest
 
-from graphmem.canon import write_text_atomic
+from graphmem.canon import Record, write_text_atomic
+from graphmem.graph import NodeKind
 
 
 class TestWriteTextAtomic:
@@ -55,3 +57,22 @@ class TestWriteTextAtomic:
             write_text_atomic(tmp_path / "file" / "out.json", "new\n")
         # removing the temporary file fails too; that error is not raised
         assert excinfo.value.__context__ is None
+
+
+@dataclass(frozen=True)
+class _Tagged(Record):
+    kind: NodeKind | None = None
+
+
+class TestRecord:
+    """The record rule for a field no saved record has yet: an enum that
+    may be None."""
+
+    @pytest.mark.parametrize("kind", [None, NodeKind.ANSWER])
+    def test_optional_enum_round_trips(self, kind):
+        record = _Tagged(kind).to_dict()
+        assert record == ({} if kind is None else {"kind": "answer"})
+        assert _Tagged.from_dict(record) == _Tagged(kind)
+
+    def test_null_in_an_optional_field_reads_as_none(self):
+        assert _Tagged.from_dict({"kind": None}) == _Tagged()

@@ -468,6 +468,14 @@ def _prune_with_gold(tmp_path, gold_text: str) -> list[str]:
             "--gold-manifest", gold, "--out-batch", str(tmp_path / "b.jsonl")]
 
 
+def _build_from_manifest(tmp_path, manifest_text: str) -> list[str]:
+    manifests = tmp_path / "manifests"
+    manifests.mkdir()
+    _write(manifests / "m.json", manifest_text)
+    return ["corpus", "build", "--manifest-dir", str(manifests),
+            "--out", str(tmp_path / "c.json")]
+
+
 BAD_INPUTS = {
     "missing config": lambda tmp: ["run", "--config", str(tmp / "none.json"),
                                    "--query", DEMO_QUERY],
@@ -554,6 +562,72 @@ def test_os_failure_is_one_typed_line(tmp_path, capsys, case):
     if target_for is not None:
         assert err.endswith(f"{str(target_for(tmp_path))!r}\n")
         assert ".tmp" not in err
+
+
+# each command writes its outputs under tmp/new/sub, which does not exist yet
+NEW_DIRECTORY_OUTPUTS = {
+    "corpus build": (
+        lambda tmp, out: ["corpus", "build", "--manifest-dir", str(FIXTURES / "corpus"),
+                          "--out", str(out / "corpus.json")],
+        ["corpus.json"],
+    ),
+    "run": (lambda tmp, out: _run_with(tmp) + ["--out", str(out / "t.jsonl")], ["t.jsonl"]),
+    "stats": (
+        lambda tmp, out: ["stats", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl"),
+                          "--out", str(out / "stats.json")],
+        ["stats.json"],
+    ),
+    "prune": (
+        lambda tmp, out: ["prune", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl"),
+                          "--out-batch", str(out / "batch" / "b.jsonl"),
+                          "--out-audit", str(out / "audit" / "a.txt")],
+        ["audit/a.txt", "batch/b.jsonl"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEW_DIRECTORY_OUTPUTS))
+def test_output_into_a_new_directory(tmp_path, capsys, case):
+    argv_for, expected = NEW_DIRECTORY_OUTPUTS[case]
+    out = tmp_path / "new" / "sub"
+    assert main(argv_for(tmp_path, out)) == 0
+    assert capsys.readouterr().err == ""
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == expected
+
+
+DEEP = "[" * 30_000
+
+DEEPLY_NESTED_INPUTS = {
+    "config": (lambda tmp: ["config", "dump", "--config", _write(tmp / "c.json", DEEP)],
+               "ConfigError"),
+    "manifest": (lambda tmp: _build_from_manifest(tmp, DEEP), "BadManifest"),
+    "corpus": (lambda tmp: ["serve", "--corpus", _write(tmp / "c.json", DEEP)], "BadManifest"),
+    "trajectory meta": (
+        lambda tmp: ["stats", "--trajectories", _write(tmp / "t.jsonl", DEEP + "\n")],
+        "CorruptSession",
+    ),
+    "trajectory record": (
+        lambda tmp: ["stats", "--trajectories", _write(
+            tmp / "t.jsonl",
+            (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8") + DEEP + "\n",
+        )],
+        "CorruptSession",
+    ),
+    "queries": (lambda tmp: _run_batch(tmp, DEEP + "\n"), "BadInputFile"),
+    "gold manifest": (lambda tmp: _prune_with_gold(tmp, DEEP), "BadInputFile"),
+    "script": (lambda tmp: _run_with(tmp, policy_script=_write(tmp / "s.json", DEEP)),
+               "PolicyProtocolError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEPLY_NESTED_INPUTS))
+def test_deeply_nested_input_is_typed_error(tmp_path, capsys, case):
+    argv_for, code = DEEPLY_NESTED_INPUTS[case]
+    assert main(argv_for(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{code}]: ")
+    assert err.count("\n") == 1
 
 
 def test_make_goldens_reproduces_the_committed_files(tmp_path):

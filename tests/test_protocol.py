@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -130,6 +131,28 @@ class TestParse:
         )
         with pytest.raises(SchemaViolation):
             parse_response(reply)
+
+    @pytest.mark.parametrize(
+        "stamp", ["1e400", "1" + "0" * 400, "NaN", "1e27"], ids=["inf", "400-digits", "nan", "1e27"]
+    )
+    def test_timestamp_that_is_not_finite_rejected(self, stamp):
+        reply = (
+            '<tool_call>{"name":"summarize_and_memorize","arguments":'
+            '{"summarize":"s","memorize":[{"information_id":"Video 1",'
+            f'"is_useful":true,"key_timestamp":[{stamp}],"priority_score":2}}]}}}}</tool_call>'
+        )
+        with pytest.raises(SchemaViolation) as excinfo:
+            parse_response(reply)
+        assert excinfo.value.field_name == "key_timestamp"
+
+    @pytest.mark.parametrize("stamp", [math.inf, math.nan, 1e300])
+    def test_decision_refuses_timestamp_that_is_not_finite(self, stamp):
+        with pytest.raises(ValueError):
+            MemorizeDecision("Video 1", True, (stamp,))
+
+    def test_deeply_nested_payload_is_malformed(self):
+        with pytest.raises(MalformedPayload):
+            parse_response("<tool_call>" + "[" * 30_000 + "</tool_call>")
 
     def test_single_parent_id_string_coerced(self):
         reply = (

@@ -6,6 +6,9 @@ Tests do not count: nothing public exists only for its own tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -65,3 +68,18 @@ def test_allowlist_names_exist_and_stay_uncalled():
     for name in ALLOWED:
         assert name in definitions, f"{name} is allowlisted but no longer defined"
         assert name not in referenced, f"{name} now has a caller; drop it from ALLOWED"
+
+
+def test_tracer_finds_every_name_it_rebinds():
+    """The benchmark's tracer rebinds names in the program's modules (for
+    example ``canonical_dumps`` in each module that imports it, and
+    ``MemoryGraph.to_dict``); a name it cannot find fails its install."""
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench'); import tracing; "
+        "tracing.install(tracing.Recorder())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -502,6 +502,20 @@ class TestSearchServer:
         with pytest.raises(RetrievalError):
             make_search_server(toy_corpus, default_k=default_k)
 
+    @pytest.mark.parametrize(
+        "body",
+        ["[" * 30_000, '{"query": "x", "k": 1e400}', '{"query": "x", "k": ' + "9" * 400 + "}"],
+        ids=["nested-30000-deep", "k-1e400", "k-400-digits"],
+    )
+    def test_unparseable_body_gets_400_and_the_server_serves_on(
+        self, server_address, body, capsys
+    ):
+        status, reply = post_json(server_address, "/search", body)
+        assert status == 400
+        assert reply["error"].startswith("bad request")
+        assert post_json(server_address, "/search", {"query": "solaris", "k": 1})[0] == 200
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_k_above_cap_rejected(self, server_address):
         status, reply = post_json(server_address, "/search", {"query": "solaris", "k": MAX_K + 1})
         assert status == 400

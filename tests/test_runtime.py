@@ -112,6 +112,19 @@ class TestRunEpisode:
         trajectory = run_demo(toy_corpus, script=script)
         assert trajectory.answer_text == "Mira Chen, 2019"
 
+    @pytest.mark.parametrize(
+        "stamp", ["1e400", "1" + "0" * 400, "NaN"], ids=["inf", "400-digits", "nan"]
+    )
+    def test_memorize_reply_with_bad_timestamp_is_retried(self, toy_corpus, stamp):
+        script = demo_script()
+        good = script[1]
+        assert '"key_timestamp":[]' in good
+        script.insert(1, good.replace('"key_timestamp":[]', f'"key_timestamp":[{stamp}]', 1))
+        trajectory = run_demo(toy_corpus, script=script)
+        assert trajectory.answer_text == "Mira Chen, 2019"
+        assert trajectory.records[0].memorize_response == good
+        assert trajectory.to_jsonl() == run_demo(toy_corpus).to_jsonl()
+
     def test_unknown_parent_becomes_policy_error(self, toy_corpus):
         script = [
             serialize_action(Retrieve("s", ("no-such-node",), "query"), "t"),
@@ -353,8 +366,9 @@ class TestChatCompletionsClient:
             ((404, chat_reply("ok")), PolicyUnreachable),
             ((200, b"<html>"), PolicyProtocolError),
             ((200, b'{"choices": []}'), PolicyProtocolError),
+            ((200, b"[" * 30_000), PolicyProtocolError),
         ],
-        ids=["500", "404", "not-json", "no-choices"],
+        ids=["500", "404", "not-json", "no-choices", "nested-30000-deep"],
     )
     def test_bad_answers_are_typed(self, connect, answer, error):
         with KeepAliveStub(lambda n: answer) as stub:
