@@ -6,6 +6,11 @@ bags of tokens (seeded, so identical across runs and platforms), similarity
 is cosine over unit vectors, and retrieval is an exhaustive scan, plenty at
 desk scale, and the embedding sits behind a tiny interface so a real model
 client can replace it.
+
+numpy is imported inside the functions that compute, not at module level,
+so importing graphmem leaves it unloaded.  OpenBLAS reads its thread count
+once, when numpy loads, and ``cli.main`` sets that count for commands that
+search from several threads at once.
 """
 
 from __future__ import annotations
@@ -19,13 +24,14 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .canon import Record, canonical_dumps, read_json, write_text_atomic
 from .energy import ItemModality, VisualItem
 from .errors import DomainError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -155,6 +161,8 @@ def embed(text: str, dim: int = EMBED_DIM_DEFAULT, seed: int = EMBED_SEED_DEFAUL
     Text with no tokens embeds to the zero vector, which is unsearchable:
     it scores 0 against everything.
     """
+    import numpy as np
+
     counts = np.zeros(dim, dtype=np.float64)
     for token in _TOKEN_RE.findall(text.casefold()):
         counts[_bucket(token, dim, seed)] += 1.0
@@ -187,6 +195,8 @@ def build_corpus(
 ) -> Corpus:
     """Segment videos into clips and embed every item once.
     Deterministic given the inputs."""
+    import numpy as np
+
     items = list(items)
     seen: set[str] = set()
     for item in items:
@@ -254,6 +264,8 @@ def search(
     order.  Scores are quantized to 12 decimal places before ranking so that
     near-ties order identically on every platform, and stored on the
     observations at the canonical 6-decimal precision."""
+    import numpy as np
+
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     if not corpus.units:
@@ -379,6 +391,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
+    # numpy, which builds the index, loads before the JSON parse: loading
+    # it after the parse measured a slower start-up
+    import numpy  # noqa: F401
+
     record = read_json(path, BadManifest)
     if not isinstance(record, dict) or record.get("schema") != CORPUS_SCHEMA:
         raise BadManifest(f"{path}: expected a {CORPUS_SCHEMA!r} file")

@@ -1,9 +1,10 @@
 """Minimal HTTP front end for corpus search.
 
 Exposes the exact engine the runtime uses as ``POST /search`` with a JSON
-body ``{"query": ..., "k": ...}``, so external policies can query the same
-index.  Built on the stdlib threading server; the corpus is immutable, so
-concurrent requests are safe.
+body ``{"query": ..., "k": ...}`` (``k`` a JSON integer), so external
+policies can query the same index, and ``GET /healthz``, which reports the
+number of searchable units.  Built on the stdlib threading server; the
+corpus is immutable, so concurrent requests are safe.
 
 Connections are kept alive (HTTP/1.1), so a client can send many searches
 over one socket; each reply leaves in one send.  Every reply other than a 200
@@ -67,6 +68,12 @@ def make_search_server(
             self.end_headers()
             self.wfile.write(body)
 
+        def do_GET(self) -> None:
+            if self.path != "/healthz":
+                self._reply(404, {"error": "unknown endpoint"})
+                return
+            self._reply(200, {"status": "ok", "units": len(corpus.units)})
+
         def do_POST(self) -> None:
             if self.path != "/search":
                 self._reply(404, {"error": "unknown endpoint"})
@@ -79,12 +86,15 @@ def make_search_server(
                 if not isinstance(request, dict):
                     raise ValueError("body must be a JSON object")
                 query = request["query"]
-                k = int(request.get("k", default_k))
+                k = request.get("k", default_k)
                 if not isinstance(query, str):
                     raise ValueError("query must be a string")
+                # a bool, a float or a numeric string is not a count
+                if type(k) is not int:
+                    raise ValueError(f"k must be a JSON integer, got {type(k).__name__}")
                 if k > MAX_K:
                     raise ValueError(f"k must be <= {MAX_K}, got {k}")
-            except (ValueError, TypeError, KeyError, OverflowError) as exc:
+            except (ValueError, KeyError) as exc:
                 self._reply(400, {"error": f"bad request: {exc}"})
                 return
             try:

@@ -1,6 +1,7 @@
 import http.client
 import json
 import os
+import random
 import shutil
 import signal
 import socket
@@ -8,10 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from graphmem.canon import canonical_dumps
 from graphmem.cli import main
 from graphmem.config import Config, ConfigError, dump_config, load_config
+from graphmem.retrieval import CorpusItem, Modality, build_corpus, save_corpus, search
 from helpers import KeepAliveStub, chat_reply
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -670,6 +674,110 @@ def test_cli_import_leaves_out_requests():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["prune", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl"),
+         "--out-batch", "{tmp}/batch.jsonl"],
+        ["stats", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl")],
+        ["config", "dump"],
+    ],
+    ids=["import", "prune", "stats", "config-dump"],
+)
+def test_numpy_left_unloaded(tmp_path, argv):
+    """Only commands that build or search an index load numpy."""
+    run = "" if argv is None else f"assert main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; "
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; from graphmem.cli import main; {run}print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+def _os_threads(pid: int) -> int:
+    status = Path(f"/proc/{pid}/status").read_text(encoding="ascii")
+    return int(status.split("Threads:", 1)[1].split()[0])
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        return False
+    return "openblas" in blas
+
+
+def _start_serve(corpus_path: Path, env: dict) -> tuple[subprocess.Popen, int]:
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphmem.cli", "serve", "--corpus", str(corpus_path),
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    line = proc.stdout.readline()
+    assert line.startswith("serving POST /search on http://127.0.0.1:"), proc.stderr.read()
+    return proc, int(line.rsplit(":", 1)[1])
+
+
+def _stop_serve(proc: subprocess.Popen) -> None:
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+    proc.stdout.close()
+    proc.stderr.close()
+
+
+def test_serve_ranks_as_in_process_search_with_one_blas_thread(tmp_path):
+    """``serve`` runs BLAS with one thread, and its replies equal in-process
+    ``search`` observations.  With two OpenBLAS threads, row 2,048 of this
+    corpus, where the threads split the index, goes through another kernel
+    path than with one, and some of its raw scores differ by 1 ulp; the
+    ranking quantization absorbs that.  A caller's ``OPENBLAS_NUM_THREADS``
+    wins."""
+    rng = random.Random(4097)
+    vocab = [f"w{i}" for i in range(64)]
+
+    def words(low: int, high: int) -> str:
+        return " ".join(rng.choices(vocab, k=rng.randint(low, high)))
+
+    corpus = build_corpus(
+        CorpusItem(f"doc-{i:05d}", Modality.TEXT, words(20, 60)) for i in range(4097)
+    )
+    corpus_path = tmp_path / "corpus.json"
+    save_corpus(corpus, corpus_path)
+    queries = [(words(5, 30), rng.randint(1, 20)) for _ in range(50)]
+    count_threads = (
+        sys.platform.startswith("linux")
+        and len(os.sched_getaffinity(0)) > 1
+        and _numpy_uses_openblas()
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    proc, port = _start_serve(corpus_path, env)
+    try:
+        if count_threads:
+            assert _os_threads(proc.pid) == 1
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        for query, k in queries:
+            conn.request("POST", "/search", body=json.dumps({"query": query, "k": k}))
+            response = conn.getresponse()
+            assert response.status == 200
+            expected = {"results": [obs.to_dict() for obs in search(corpus, query, k)]}
+            assert response.read() == (canonical_dumps(expected) + "\n").encode("utf-8")
+        conn.close()
+    finally:
+        _stop_serve(proc)
+
+    if count_threads:
+        proc, _ = _start_serve(corpus_path, {**env, "OPENBLAS_NUM_THREADS": "2"})
+        try:
+            assert _os_threads(proc.pid) >= 2
+        finally:
+            _stop_serve(proc)
 
 
 def test_serve_stops_on_sigterm_with_sigint_ignored():

@@ -516,6 +516,31 @@ class TestSearchServer:
         assert post_json(server_address, "/search", {"query": "solaris", "k": 1})[0] == 200
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [True, 2.9, "3"], ids=["bool", "float", "string"])
+    def test_k_other_than_json_integer_rejected(self, server_address, k):
+        status, reply = post_json(server_address, "/search", {"query": "solaris", "k": k})
+        assert status == 400
+        assert reply["error"].startswith("bad request: k must be a JSON integer")
+        status, reply = post_json(server_address, "/search", {"query": "solaris", "k": 3})
+        assert status == 200 and len(reply["results"]) == 3
+
+    def test_healthz(self, server_address, toy_corpus):
+        conn = http.client.HTTPConnection(*server_address, timeout=5)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {
+                "status": "ok", "units": len(toy_corpus.units)
+            }
+            conn.request("GET", "/search")
+            response = conn.getresponse()
+            assert response.status == 404
+            assert response.getheader("Content-Type").startswith("application/json")
+            assert json.loads(response.read()) == {"error": "unknown endpoint"}
+        finally:
+            conn.close()
+
     def test_k_above_cap_rejected(self, server_address):
         status, reply = post_json(server_address, "/search", {"query": "solaris", "k": MAX_K + 1})
         assert status == 400
