@@ -66,7 +66,7 @@ def main() -> None:
 
     # observation block golden
     observations = search(corpus, "who directed Solaris Dawn film", 5, n_frames=4)
-    write(GOLDEN / "observation_block.txt", render_observation(observations).text)
+    write(GOLDEN / "observation_block.txt", render_observation(observations))
 
     # demo trajectory golden
     config = load_config(FIXTURES / "demo_config.json")

@@ -53,7 +53,6 @@ from .runtime import (
     RemoteJudge,
     RemotePolicy,
     ScriptedPolicy,
-    SessionState,
     Trajectory,
     apply_action,
     judge_exact,

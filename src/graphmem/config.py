@@ -6,6 +6,7 @@ keeps its default, unknown keys are rejected (they are almost always typos).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -18,6 +19,23 @@ from .runtime import EpisodeConfig, TOKEN_ENV_DEFAULT
 
 class ConfigError(DomainError):
     code = "ConfigError"
+
+
+# a field's annotation -> what its value must be
+_KINDS = {"bool": "true or false", "int": "an integer", "float": "a finite number", "str": "a string"}
+
+
+def _has_type(annotation: str, value: object) -> bool:
+    """A bool only as a bool, an int not as a bool, a float as a finite int
+    or float, a str as a string."""
+    if isinstance(value, bool):
+        return annotation == "bool"
+    if annotation == "int":
+        return isinstance(value, int)
+    if annotation == "float":
+        # compared, not converted: an int too large for a float is not finite
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, {"bool": bool, "str": str}[annotation])
 
 
 @dataclass
@@ -50,6 +68,12 @@ class Config:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(f.type, value):
+                raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, got {value!r}")
+        if self.policy_timeout_s <= 0:
+            raise ConfigError(f"policy_timeout_s must be > 0, got {self.policy_timeout_s!r}")
         if self.policy_mode not in ("scripted", "remote"):
             raise ConfigError(f"policy_mode must be 'scripted' or 'remote', got {self.policy_mode!r}")
         if self.judge_mode not in ("exact", "remote"):

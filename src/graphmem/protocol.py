@@ -459,24 +459,13 @@ def render_context(
     )
 
 
-@dataclass(frozen=True)
-class RenderedObservation:
-    """Observation block shown to the policy on the memorize turn, plus the
-    ids it may echo back."""
-
-    text: str
-    offered_ids: tuple[str, ...]
-
-
-def render_observation(observations: Iterable["Observation"]) -> RenderedObservation:
+def render_observation(observations: Iterable["Observation"]) -> str:
     """Deterministic text block listing each retrieved item under its stable
     id ("Text 1", "Image 1", "Video 1", ...).  Video clips list their sampled
-    frame timestamps.  The ids offered here are exactly what a memorize
+    frame timestamps.  The ids listed here are exactly what a memorize
     decision's ``information_id`` must echo."""
-    lines = ["### Retrieved Multimodal Information"]
-    offered: list[str] = []
+    lines = []
     for obs in observations:
-        offered.append(obs.id)
         header = f"{obs.id} (source {obs.source_id}, score {obs.score:.6f})"
         if obs.frames:
             span = (
@@ -488,12 +477,8 @@ def render_observation(observations: Iterable["Observation"]) -> RenderedObserva
             lines.append(f"  frames: {stamps}")
         else:
             lines.append(f"{header}: {obs.content}")
-    if not offered:
-        lines.append("(no results)")
-    return RenderedObservation(
-        text="\n".join(lines) + "\n",
-        offered_ids=tuple(offered),
-    )
+    body = "\n".join(lines) if lines else "(no results)"
+    return f"### Retrieved Multimodal Information\n{body}\n"
 
 
 DEFAULT_INSTRUCTION = """\

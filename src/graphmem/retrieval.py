@@ -175,8 +175,8 @@ def embed(text: str, dim: int = EMBED_DIM_DEFAULT, seed: int = EMBED_SEED_DEFAUL
 def segment_video(duration_s: float, clip_len_s: float) -> list[tuple[float, float]]:
     """Split [0, duration) into consecutive clips of at most ``clip_len_s``
     seconds; the last clip may be shorter."""
-    if clip_len_s <= 0:
-        raise BadClipLength(f"clip length must be > 0, got {clip_len_s!r}")
+    if not 0 < clip_len_s < math.inf:
+        raise BadClipLength(f"clip length must be finite and > 0, got {clip_len_s!r}")
     bounds = []
     start = 0.0
     while start < duration_s:
@@ -203,8 +203,8 @@ def build_corpus(
         if item.id in seen:
             raise DuplicateItemId(f"duplicate corpus item id {item.id!r}")
         seen.add(item.id)
-    if clip_len_s <= 0:
-        raise BadClipLength(f"clip length must be > 0, got {clip_len_s!r}")
+    if not 0 < clip_len_s < math.inf:
+        raise BadClipLength(f"clip length must be finite and > 0, got {clip_len_s!r}")
 
     clips: list[Clip] = []
     units: list[SearchUnit] = []

@@ -7,7 +7,9 @@ second policy call that must memorize the retrieved observations before
 anything else happens (the action sequence of a legal episode always matches
 ``(retrieve memorize)* (answer | truncation)``).  The whole loop is
 deterministic under a scripted policy: corpus + config + script fully
-determine the trajectory bytes.
+determine the trajectory bytes.  ``apply_action`` only edits the graph, so
+the cycle records and the config rebuild it with no search and no policy
+call.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ class RemoteJudge:
         return 1 if match.group(1) == "True" else 0
 
 
-# -- episode state ------------------------------------------------------------
+# -- episodes -----------------------------------------------------------------
 
 
 @dataclass
@@ -343,41 +345,29 @@ class CycleRecord(Record, keep_null=("memorize_action",)):
 
 
 @dataclass
-class PendingSearch:
-    """A search node whose observations await the memorize turn."""
-
-    node_index: int
-    observations: tuple[Observation, ...]
-    offered_ids: tuple[str, ...]
-    observation_text: str
-
-
-@dataclass
-class SessionState:
-    """The state of a running episode: the graph (which owns the memory
-    bank), the completed cycle records, and the search awaiting its memorize
-    turn, if any."""
-
-    graph: MemoryGraph
-    records: list[CycleRecord] = field(default_factory=list)
-    pending: PendingSearch | None = None
-
-    @classmethod
-    def new(cls, query: str) -> "SessionState":
-        return cls(graph=new_graph(query))
-
-
-@dataclass
 class Trajectory:
     """One finished (or truncated) episode, ready for judging, statistics,
-    and trainer-side segmentation."""
+    and trainer-side segmentation.  Its query, its answer and whether it
+    hit the cycle bound are read off the graph."""
 
-    query: str
     records: list[CycleRecord]
     graph: MemoryGraph
-    answer_text: str | None
-    truncated: bool
     reward: int | None = None
+
+    @property
+    def query(self) -> str:
+        return self.graph.root_query
+
+    @property
+    def answer_text(self) -> str | None:
+        return next(
+            (node.answer_text for node in self.graph.nodes if node.kind is NodeKind.ANSWER),
+            None,
+        )
+
+    @property
+    def truncated(self) -> bool:
+        return not self.graph.is_terminal
 
     def to_jsonl(self) -> str:
         meta = {
@@ -396,6 +386,8 @@ class Trajectory:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trajectory":
+        """Read a trajectory file.  The meta line's query, answer and
+        truncation flag must be what its graph says."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise CorruptSession("empty trajectory file")
@@ -411,16 +403,21 @@ class Trajectory:
             )
         try:
             records = [CycleRecord.from_dict(parse_json(line)) for line in lines[1:]]
-            return cls(
-                query=meta["query"],
+            trajectory = cls(
                 records=records,
                 graph=MemoryGraph.from_dict(meta["graph"]),
-                answer_text=meta["answer"],
-                truncated=meta["truncated"],
                 reward=meta["reward"],
             )
+            stated = (meta["query"], meta["answer"], meta["truncated"])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorruptSession(f"malformed trajectory record: {exc}") from exc
+        derived = (trajectory.query, trajectory.answer_text, trajectory.truncated)
+        # types too: 1 == True, but the graph says true
+        if [(type(v), v) for v in stated] != [(type(v), v) for v in derived]:
+            raise CorruptSession(
+                f"meta (query, answer, truncated) {stated!r} disagrees with its graph {derived!r}"
+            )
+        return trajectory
 
 
 def save_trajectory(trajectory: Trajectory, path: str | Path) -> None:
@@ -447,11 +444,10 @@ def _item_ref_for(observation: Observation) -> str:
 
 
 def _seed_items(
-    state: SessionState, action: Memorize, pending: PendingSearch
+    graph: MemoryGraph, action: Memorize, by_id: dict[str, Observation], node_index: int
 ) -> list[int]:
     """Turn useful memorize decisions into bank items: one per useful text or
     image observation, one per resolved keyframe for videos."""
-    by_id = {obs.id: obs for obs in pending.observations}
     refs: list[int] = []
     slot = 0
     for decision in action.decisions:
@@ -474,72 +470,45 @@ def _seed_items(
         for seed in seeds:
             item = replace(
                 seed,
-                ordinal=len(state.graph.memory_bank),
-                owner_node=pending.node_index,
+                ordinal=len(graph.memory_bank),
+                owner_node=node_index,
                 slot=slot,
                 saliency=1,
                 priority=decision.priority_score,
             )
-            refs.append(state.graph.append_item(item))
+            refs.append(graph.append_item(item))
             slot += 1
     return refs
 
 
 def apply_action(
-    state: SessionState,
-    action: Action,
-    corpus: Corpus,
-    config: EpisodeConfig,
-) -> SessionState:
-    """Apply one parsed action to the session state, enforcing the episode
-    state machine: a retrieve must be followed by a memorize before any other
-    action, and nothing follows an answer."""
+    graph: MemoryGraph, action: Action, observations: Sequence[Observation] = ()
+) -> None:
+    """Apply one parsed action to the graph: a retrieve adds a skeletal
+    search node, an answer the answer node, and a memorize populates the
+    newest node from ``observations``, the search results shown for it.
+    Nothing is searched.  The graph refuses an action out of turn: a
+    memorize whose newest node is not an open search node, or any action
+    once it is answered.  A refused memorize may leave the items it seeded
+    in the bank, so a caller that catches the error drops the graph."""
     if isinstance(action, Retrieve):
-        if state.pending is not None:
-            raise IllegalTransition("memorize", "retrieve")
-        if state.graph.is_terminal:
-            raise IllegalTransition("nothing (episode answered)", "retrieve")
-        node_index = state.graph.add_search_node(
-            action.title, action.parent_titles, action.query
-        )
-        observations = tuple(
-            search(corpus, action.query, config.search_k, n_frames=config.n_frames)
-        )
-        rendered = render_observation(observations)
-        state.pending = PendingSearch(
-            node_index=node_index,
-            observations=observations,
-            offered_ids=rendered.offered_ids,
-            observation_text=rendered.text,
-        )
-        return state
-
-    if isinstance(action, Memorize):
-        if state.pending is None:
-            raise IllegalTransition("retrieve or answer", "memorize")
-        pending = state.pending
-        offered = set(pending.offered_ids)
+        graph.add_search_node(action.title, action.parent_titles, action.query)
+    elif isinstance(action, Answer):
+        graph.add_answer_node(action.parent_titles, action.answer)
+    elif isinstance(action, Memorize):
+        by_id = {obs.id: obs for obs in observations}
         for decision in action.decisions:
-            if decision.information_id not in offered:
+            if decision.information_id not in by_id:
                 raise SchemaViolation(
                     f"information_id {decision.information_id!r} was not offered "
-                    f"(offered: {sorted(offered)})",
+                    f"(offered: {sorted(by_id)})",
                     field_name="information_id",
                 )
-        refs = _seed_items(state, action, pending)
-        state.graph.populate_node(pending.node_index, action.summary, refs)
-        state.pending = None
-        return state
-
-    if isinstance(action, Answer):
-        if state.pending is not None:
-            raise IllegalTransition("memorize", "answer")
-        if state.graph.is_terminal:
-            raise IllegalTransition("nothing (episode answered)", "answer")
-        state.graph.add_answer_node(action.parent_titles, action.answer)
-        return state
-
-    raise TypeError(f"not an action: {action!r}")
+        node_index = len(graph.nodes) - 1
+        refs = _seed_items(graph, action, by_id, node_index)
+        graph.populate_node(node_index, action.summary, refs)
+    else:
+        raise TypeError(f"not an action: {action!r}")
 
 
 # -- the loop -----------------------------------------------------------------
@@ -579,20 +548,24 @@ def run_episode(
     """Run one episode to its answer or the cycle bound.
 
     Every cycle: shape the memory bank at the current step, render the
-    prompt, ask the policy, apply.  Retrieve cycles run the memorize turn
-    against the same bundle plus the rendered observations before the cycle
+    prompt, ask the policy for a retrieve or an answer, apply it.  A
+    retrieve is searched, and the memorize turn, against the same bundle
+    plus the rendered observations, populates its node before the cycle
     closes.  Episodes that hit the bound keep their trailing skeletal node,
     if any, and are marked truncated.
     """
-    state = SessionState.new(query)
-    graph = state.graph
-    while not graph.is_terminal and len(state.records) < config.t_max:
-        cycle = len(state.records)
+    graph = new_graph(query)
+    records: list[CycleRecord] = []
+    while not graph.is_terminal and len(records) < config.t_max:
+        cycle = len(records)
         assignment = shape_memory(graph, config.energy)
         bundle = render_context(graph, assignment, config.instruction)
         raw, parsed = _act_and_parse(policy, bundle, ())
+        action = parsed.action
+        if isinstance(action, Memorize):
+            raise IllegalTransition("retrieve or answer", "memorize")
         try:
-            apply_action(state, parsed.action, corpus, config)
+            apply_action(graph, action)
         except GraphError as exc:
             raise PolicyProtocolError(
                 f"policy action rejected at cycle {cycle}: {exc}"
@@ -603,35 +576,29 @@ def run_episode(
             prompt_digest=bundle.digest(),
             prompt_chars=bundle.char_count(),
             response=raw,
-            action=action_payload(parsed.action),
-            kind=_action_kind(parsed.action),
+            action=action_payload(action),
+            kind=_action_kind(action),
             node_index=len(graph.nodes) - 1,
             assignment=assignment,
         )
-        pending = state.pending
-        if pending is not None:
+        if isinstance(action, Retrieve):
+            observations = tuple(
+                search(corpus, action.query, config.search_k, n_frames=config.n_frames)
+            )
             followup = (
                 ("assistant", raw),
-                ("user", pending.observation_text + "\n" + MEMORIZE_PROMPT),
+                ("user", render_observation(observations) + "\n" + MEMORIZE_PROMPT),
             )
             raw2, parsed2 = _act_and_parse(policy, bundle, followup)
-            apply_action(state, parsed2.action, corpus, config)
+            if not isinstance(parsed2.action, Memorize):
+                raise IllegalTransition("memorize", _action_kind(parsed2.action))
+            apply_action(graph, parsed2.action, observations)
             record = replace(
                 record,
-                observations=pending.observations,
+                observations=observations,
                 memorize_prompt_chars=_conversation_chars(bundle, followup),
                 memorize_response=raw2,
                 memorize_action=action_payload(parsed2.action),
             )
-        state.records.append(record)
-
-    answer_text = next(
-        (node.answer_text for node in graph.nodes if node.kind is NodeKind.ANSWER), None
-    )
-    return Trajectory(
-        query=graph.root_query,
-        records=state.records,
-        graph=graph,
-        answer_text=answer_text,
-        truncated=not graph.is_terminal,
-    )
+        records.append(record)
+    return Trajectory(records=records, graph=graph)

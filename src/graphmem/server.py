@@ -41,6 +41,10 @@ def make_search_server(
     """Build (but do not start) the server; ``port=0`` picks a free port."""
     if not 1 <= default_k <= MAX_K:
         raise RetrievalError(f"default k must be in [1, {MAX_K}], got {default_k}")
+    if n_frames < 1:
+        raise RetrievalError(f"frame count must be >= 1, got {n_frames}")
+    if not 0 <= port <= 65535:
+        raise RetrievalError(f"port must be in [0, 65535], got {port}")
 
     class SearchHandler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"

@@ -79,6 +79,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Config(policy_mode="telepathy")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("search_k", True),
+            ("s_total", 1000.0),
+            ("uniform_mode", 1),
+            ("gamma_feedback", 10**400),
+            ("policy_timeout_s", float("inf")),
+            ("policy_timeout_s", 0),
+        ],
+    )
+    def test_value_of_wrong_type_or_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            Config(**{field: value})
+
 
 class TestCorpusBuild:
     def test_build_from_manifests(self, tmp_path, capsys):
@@ -326,7 +341,6 @@ class TestPrune:
         corpus = load_corpus(FIXTURES / "demo_corpus.json")
         positive = run_demo(corpus, dead_end_script(), reward=1)
         negative = run_demo(corpus, dead_end_script(), reward=0)
-        negative.query = positive.query
         paths = []
         for name, trajectory in [("pos", positive), ("neg", negative)]:
             path = tmp_path / f"{name}.jsonl"
@@ -466,6 +480,14 @@ def _run_batch(tmp_path, queries_text: str) -> list[str]:
             "--out-dir", str(tmp_path / "batch")]
 
 
+def _remote_run_with(tmp_path, **overrides) -> list[str]:
+    # nothing listens on the discard port; a bad config fails before any call
+    return _run_with(
+        tmp_path, policy_mode="remote", policy_base_url="http://127.0.0.1:9",
+        policy_model="m", **overrides,
+    )
+
+
 def _prune_with_gold(tmp_path, gold_text: str) -> list[str]:
     gold = _write(tmp_path / "gold.json", gold_text)
     return ["prune", "--trajectories", str(GOLDEN / "demo_trajectory.jsonl"),
@@ -516,6 +538,31 @@ BAD_INPUTS = {
     "queries line not JSON": lambda tmp: _run_batch(tmp, "not json\n"),
     "queries line without query": lambda tmp: _run_batch(tmp, '{"gold": "x"}\n'),
     "config sets session_dir": lambda tmp: _run_with(tmp, session_dir=str(tmp / "sessions")),
+    "config corpus_path not a string": lambda tmp: _run_with(tmp, corpus_path=5),
+    "config search_k a bool": lambda tmp: _run_with(tmp, search_k=True),
+    "config t_max a float": lambda tmp: _run_with(tmp, t_max=2.5),
+    "config policy_timeout_s negative": lambda tmp: _remote_run_with(tmp, policy_timeout_s=-1),
+    "config policy_timeout_s nan": lambda tmp: _remote_run_with(
+        tmp, policy_timeout_s=float("nan")
+    ),
+    "config policy_timeout_s a string": lambda tmp: _remote_run_with(
+        tmp, policy_timeout_s="abc"
+    ),
+    "clip length nan": lambda tmp: _build_from_manifest(
+        tmp, (FIXTURES / "corpus" / "manifest.json").read_text(encoding="utf-8")
+    ) + ["--clip-len", "nan"],
+    "clip length inf": lambda tmp: _build_from_manifest(
+        tmp, (FIXTURES / "corpus" / "manifest.json").read_text(encoding="utf-8")
+    ) + ["--clip-len", "inf"],
+    "serve zero frames": lambda tmp: [
+        "serve", "--corpus", str(FIXTURES / "demo_corpus.json"), "--n-frames", "0",
+    ],
+    "serve port above 65535": lambda tmp: [
+        "serve", "--corpus", str(FIXTURES / "demo_corpus.json"), "--port", "70000",
+    ],
+    "serve port negative": lambda tmp: [
+        "serve", "--corpus", str(FIXTURES / "demo_corpus.json"), "--port", "-1",
+    ],
 }
 
 
@@ -526,6 +573,7 @@ def test_bad_input_file_is_typed_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error [")
     assert "Traceback" not in err
+    assert err.count("\n") == 1, err
     # nothing ran, so nothing was written
     assert not (tmp_path / "batch").exists()
     assert not (tmp_path / "b.jsonl").exists()
@@ -782,7 +830,8 @@ def test_serve_ranks_as_in_process_search_with_one_blas_thread(tmp_path):
 
 def test_serve_stops_on_sigterm_with_sigint_ignored():
     """Under a parent that ignores SIGINT (a background job), SIGTERM still
-    shuts the server down cleanly."""
+    shuts the server down cleanly.  A failing step's message carries the
+    server's exit status and stderr."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "graphmem.cli", "serve",
          "--corpus", str(FIXTURES / "demo_corpus.json"), "--port", "0"],
@@ -800,9 +849,19 @@ def test_serve_stops_on_sigterm_with_sigint_ignored():
         conn.close()
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=5) == 0
-        assert "Traceback" not in proc.stderr.read()
+        stderr = proc.stderr.read()
+        assert "Traceback" not in stderr, stderr
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    except (Exception, pytest.fail.Exception) as exc:
+        # the server's side, read once it has been reaped
+        if proc.poll() is None:
+            proc.kill()
+        status = proc.wait()
+        raise AssertionError(
+            f"{type(exc).__name__}: {exc}\n"
+            f"server exit status {status}, stderr:\n{proc.stderr.read()}"
+        ) from exc
     finally:
         if proc.poll() is None:
             proc.kill()

@@ -299,10 +299,10 @@ def _shaped_demo_graph(corpus):
 class TestRenderObservation:
     def test_text_doc_block(self, toy_corpus):
         observations = search(toy_corpus, "deep sea fishing documentary", 1)
-        rendered = render_observation(observations)
-        assert rendered.offered_ids == ("Text 1",)
-        assert rendered.text.startswith("### Retrieved Multimodal Information")
-        assert "Text 1" in rendered.text
+        assert [obs.id for obs in observations] == ["Text 1"]
+        text = render_observation(observations)
+        assert text.startswith("### Retrieved Multimodal Information")
+        assert "Text 1" in text
 
     def test_video_frame_timestamps(self, toy_corpus):
         observations = [
@@ -310,18 +310,15 @@ class TestRenderObservation:
             for obs in search(toy_corpus, "Interview Mira Chen directing", 6, n_frames=3)
             if obs.frames
         ]
-        rendered = render_observation(observations[:1])
+        text = render_observation(observations[:1])
         obs = observations[0]
         for ts, _ in obs.frames:
-            assert format_timestamp(ts) in rendered.text
+            assert format_timestamp(ts) in text
 
     def test_empty_observations(self):
-        rendered = render_observation([])
-        assert rendered.offered_ids == ()
-        assert "(no results)" in rendered.text
+        assert render_observation([]) == "### Retrieved Multimodal Information\n(no results)\n"
 
     def test_matches_golden(self, toy_corpus, golden_dir):
         observations = search(toy_corpus, "who directed Solaris Dawn film", 5, n_frames=4)
-        rendered = render_observation(observations)
         expected = (golden_dir / "observation_block.txt").read_text(encoding="utf-8")
-        assert rendered.text == expected
+        assert render_observation(observations) == expected

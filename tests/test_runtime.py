@@ -6,16 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from graphmem.energy import EnergyParams
-from graphmem.graph import NodeKind
+from graphmem.canon import canonical_dumps
+from graphmem.config import load_config
+from graphmem.energy import EnergyParams, shape_memory
+from graphmem.graph import AlreadyPopulated, GraphTerminal, NodeKind, NotASearchNode, new_graph
 from graphmem.protocol import (
     Answer,
     Memorize,
     MemorizeDecision,
     Retrieve,
     SchemaViolation,
+    parse_response,
     serialize_action,
 )
+from graphmem.retrieval import Modality, Observation
 from graphmem.runtime import (
     ChatCompletionsClient,
     CorruptSession,
@@ -28,7 +32,6 @@ from graphmem.runtime import (
     RemoteJudge,
     RemotePolicy,
     ScriptedPolicy,
-    SessionState,
     SessionSchemaMismatch,
     apply_action,
     judge_exact,
@@ -134,8 +137,9 @@ class TestRunEpisode:
 
     def test_memorize_at_cycle_start_is_illegal(self, toy_corpus):
         script = [serialize_action(Memorize("s", ()), "t")]
-        with pytest.raises(IllegalTransition):
+        with pytest.raises(IllegalTransition) as excinfo:
             run_episode(ScriptedPolicy(script), toy_corpus, DEMO_QUERY, demo_config())
+        assert (excinfo.value.expected, excinfo.value.got) == ("retrieve or answer", "memorize")
 
     @pytest.mark.parametrize(
         "reply, got",
@@ -186,50 +190,76 @@ class TestRunEpisode:
         assert frames[0].priority == 4
 
 
+DIRECTOR_HIT = Observation(
+    "Text 1", "doc-director", Modality.TEXT, 0.9, "Solaris Dawn was directed by Mira Chen."
+)
+
+
 class TestApplyAction:
-    def test_memorize_without_pending(self, toy_corpus):
-        state = SessionState.new(DEMO_QUERY)
-        with pytest.raises(IllegalTransition):
-            apply_action(state, Memorize("s", ()), toy_corpus, demo_config())
+    """One action on a bare graph, with no corpus and no policy."""
 
-    def test_retrieve_on_terminal_graph(self, toy_corpus):
-        state = SessionState.new(DEMO_QUERY)
-        state.graph.add_answer_node({"root"}, "done")
-        with pytest.raises(IllegalTransition):
-            apply_action(
-                state, Retrieve("s", ("root",), "q"), toy_corpus, demo_config()
-            )
+    def test_memorize_without_pending(self):
+        graph = new_graph(DEMO_QUERY)
+        with pytest.raises(NotASearchNode):
+            apply_action(graph, Memorize("s", ()))
 
-    def test_retrieve_then_memorize_populates(self, toy_corpus):
-        state = SessionState.new(DEMO_QUERY)
-        config = demo_config()
-        apply_action(state, Retrieve("s", ("root",), "who directed Solaris Dawn film"),
-                     toy_corpus, config)
-        assert state.pending is not None
-        assert state.graph.nodes[1].populated is False
+    def test_retrieve_on_terminal_graph(self):
+        graph = new_graph(DEMO_QUERY)
+        graph.add_answer_node({"root"}, "done")
+        with pytest.raises(GraphTerminal):
+            apply_action(graph, Retrieve("s", ("root",), "q"))
+
+    def test_retrieve_then_memorize_populates(self):
+        graph = new_graph(DEMO_QUERY)
+        apply_action(graph, Retrieve("s", ("root",), "who directed Solaris Dawn film"))
+        assert graph.nodes[1].populated is False
         memorize = Memorize("found it", (MemorizeDecision("Text 1", True, (), 5),))
-        apply_action(state, memorize, toy_corpus, config)
-        assert state.pending is None
-        assert state.graph.nodes[1].populated
-        assert state.graph.nodes[1].items == (0,)
-        assert state.graph.memory_bank[0].priority == 5
+        apply_action(graph, memorize, (DIRECTOR_HIT,))
+        assert graph.nodes[1].populated
+        assert graph.nodes[1].items == (0,)
+        assert graph.memory_bank[0].priority == 5
+        assert graph.memory_bank[0].payload_ref == "corpus://doc-director"
+        with pytest.raises(AlreadyPopulated):
+            apply_action(graph, Memorize("again", ()), (DIRECTOR_HIT,))
 
-    def test_answer_while_pending_is_illegal(self, toy_corpus):
-        state = SessionState.new(DEMO_QUERY)
-        config = demo_config()
-        apply_action(state, Retrieve("s", ("root",), "q"), toy_corpus, config)
-        with pytest.raises(IllegalTransition):
-            apply_action(state, Answer(("s",), "x"), toy_corpus, config)
-
-    def test_useless_decisions_seed_nothing(self, toy_corpus):
-        state = SessionState.new(DEMO_QUERY)
-        config = demo_config()
-        apply_action(state, Retrieve("s", ("root",), "who directed Solaris Dawn film"),
-                     toy_corpus, config)
+    def test_useless_decisions_seed_nothing(self):
+        graph = new_graph(DEMO_QUERY)
+        apply_action(graph, Retrieve("s", ("root",), "who directed Solaris Dawn film"))
         memorize = Memorize("nothing", (MemorizeDecision("Text 1", False, (), 1),))
-        apply_action(state, memorize, toy_corpus, config)
-        assert state.graph.memory_bank == []
-        assert state.graph.nodes[1].items == ()
+        apply_action(graph, memorize, (DIRECTOR_HIT,))
+        assert graph.memory_bank == []
+        assert graph.nodes[1].items == ()
+
+    def test_unoffered_information_id_rejected(self):
+        graph = new_graph(DEMO_QUERY)
+        apply_action(graph, Retrieve("s", ("root",), "who directed Solaris Dawn film"))
+        memorize = Memorize("s", (MemorizeDecision("Text 2", True, (), 3),))
+        with pytest.raises(SchemaViolation):
+            apply_action(graph, memorize, (DIRECTOR_HIT,))
+        assert not graph.nodes[1].populated
+
+
+# both were made under tests/fixtures/demo_config.json (see scripts/make_goldens.py)
+REPLAYS = {"demo": GOLDEN / "demo_trajectory.jsonl", "dup": FIXTURES / "dup_trajectory.jsonl"}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYS))
+def test_records_alone_rebuild_the_graph(name):
+    """Shaping and the recorded actions, applied with the recorded
+    observations, give every recorded assignment and the saved graph: no
+    corpus search and no policy call."""
+    path = REPLAYS[name]
+    energy = load_config(FIXTURES / "demo_config.json").episode_config().energy
+    meta = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    trajectory = load_trajectory(path)
+    graph = new_graph(meta["query"])
+    for record in trajectory.records:
+        assert shape_memory(graph, energy) == record.assignment
+        apply_action(graph, parse_response(record.response).action)
+        if record.kind == "retrieve":
+            memorize = parse_response(record.memorize_response).action
+            apply_action(graph, memorize, record.observations)
+    assert canonical_dumps(graph.to_dict()) == canonical_dumps(meta["graph"])
 
 
 class TestJudges:
@@ -424,6 +454,26 @@ class TestSessions:
         path = tmp_path / "future.jsonl"
         path.write_text('{"kind": "meta", "schema": "trajectory/99"}\n', encoding="utf-8")
         with pytest.raises(SessionSchemaMismatch):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("query", "Who wrote Solaris Dawn?"),
+            ("answer", "Mira Chen"),
+            ("answer", None),
+            ("truncated", True),
+            ("truncated", 0),
+        ],
+        ids=["query", "answer", "answer-null", "truncated", "truncated-0"],
+    )
+    def test_meta_disagreeing_with_graph_rejected(self, tmp_path, key, value):
+        lines = (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8").splitlines()
+        meta = json.loads(lines[0])
+        meta[key] = value
+        path = tmp_path / "edited.jsonl"
+        path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptSession, match="disagrees with its graph"):
             load_trajectory(path)
 
     def test_corrupt_file_rejected(self, toy_corpus, tmp_path):
