@@ -238,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return f"[{index}] {status}, verdict {verdict_text} -> {out_path}"
 
         failed = 0
-        with ThreadPoolExecutor(max_workers=max(1, args.parallel)) as pool:
+        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             futures = [pool.submit(run_entry, indexed) for indexed in enumerate(entries)]
             for index, future in enumerate(futures):
                 try:
@@ -348,6 +348,13 @@ def cmd_config_dump(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphmem",
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gold")
     run.add_argument("--out", help="trajectory output path (single query)")
     run.add_argument("--out-dir", help="output directory (defaults to config output_dir)")
-    run.add_argument("--parallel", type=int, default=1)
+    run.add_argument("--parallel", type=_positive_int, default=1)
     run.add_argument(
         "--set", action="append", metavar="FIELD=VALUE",
         help="override a config field (repeatable), e.g. --set t_max=3",

@@ -40,15 +40,19 @@ class ItemModality(str, Enum):
     VIDEO_FRAME = "video_frame"
 
 
+def is_priority(value: object) -> bool:
+    """A priority score is an int, not a bool, in [1, 5]."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 5
+
+
 @dataclass(frozen=True)
 class VisualItem(Record):
     """One entry of the graph's memory bank.
 
     ``ordinal`` is the item's position in the bank, ``owner_node``/``slot``
-    locate it on the graph (identity fields may be -1 on seeds that have not
-    been attached yet), ``payload_ref`` is an opaque pointer into the asset
-    store; raw pixels never live here.  Items are immutable: a change is a
-    new item put in the item's bank position.
+    locate it on the graph, ``payload_ref`` is an opaque pointer into the
+    asset store; raw pixels never live here.  Items are immutable: a change
+    is a new item put in the item's bank position.
     """
 
     ordinal: int
@@ -65,8 +69,7 @@ class VisualItem(Record):
     def __post_init__(self) -> None:
         if self.saliency not in (0, 1):
             raise ValueError(f"saliency must be 0 or 1, got {self.saliency!r}")
-        if not isinstance(self.priority, int) or isinstance(self.priority, bool) \
-                or not 1 <= self.priority <= 5:
+        if not is_priority(self.priority):
             raise ValueError(f"priority must be an integer in [1, 5], got {self.priority!r}")
         if self.allocated_budget < 0:
             raise ValueError("allocated_budget must be >= 0")
@@ -142,8 +145,7 @@ class BudgetAssignment:
 
 def normalize_priority(priority: int) -> float:
     """Map the 1-5 priority score onto [0, 1] affinely: (p - 1) / 4."""
-    if not isinstance(priority, int) or isinstance(priority, bool) \
-            or not 1 <= priority <= 5:
+    if not is_priority(priority):
         raise BadPriority(f"priority must be an integer in [1, 5], got {priority!r}")
     return (priority - 1) / 4.0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import is_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .canon import Record, canonical_dumps, normalize_text
 from .energy import VisualItem
@@ -243,7 +243,7 @@ class MemoryGraph:
         self.validate()
         return node.index
 
-    def populate_node(self, index: int, summary: str, item_refs: Iterable[int]) -> None:
+    def _open_search_node(self, index: int) -> MemoryNode:
         if self.is_terminal:
             raise GraphTerminal("graph already has an answer node")
         node = self.node_at(index)
@@ -251,12 +251,32 @@ class MemoryGraph:
             raise NotASearchNode(f"node {index} is a {node.kind.value} node")
         if node.populated:
             raise AlreadyPopulated(f"node {index} was already populated")
+        return node
+
+    def populate_node(self, index: int, summary: str, item_refs: Iterable[int]) -> None:
+        node = self._open_search_node(index)
         refs = tuple(item_refs)
         for ref in refs:
             if not 0 <= ref < len(self.memory_bank):
                 raise BadItemRef(f"no memory bank item at ordinal {ref}")
         self.nodes[index] = replace(node, summary=summary, items=refs, populated=True)
         self.validate()
+
+    def memorize(self, summary: str, items: Sequence[VisualItem]) -> None:
+        """Close the newest node, an open search node: append ``items``, the
+        evidence it holds, to the bank and populate it with ``summary``.
+        Each item's ordinal continues the bank and its owner is that node.
+        Everything is checked before anything changes, so a refused memorize
+        leaves the graph as it was."""
+        node = self._open_search_node(len(self.nodes) - 1)
+        for ordinal, item in enumerate(items, len(self.memory_bank)):
+            if (item.ordinal, item.owner_node) != (ordinal, node.index):
+                raise BadItemRef(
+                    f"item {item.ordinal} of node {item.owner_node} is not item {ordinal} "
+                    f"of node {node.index}"
+                )
+        refs = [self.append_item(item) for item in items]
+        self.populate_node(node.index, summary, refs)
 
     def add_answer_node(self, parent_titles: Iterable[str], answer: str) -> int:
         if self.is_terminal:
@@ -344,6 +364,8 @@ class MemoryGraph:
 
     @classmethod
     def from_dict(cls, record: dict) -> "MemoryGraph":
+        if not isinstance(record, dict):
+            raise CorruptGraph(f"a graph record is a JSON object, got {type(record).__name__}")
         if record.get("schema") != GRAPH_SCHEMA:
             raise SchemaMismatch(
                 f"expected schema {GRAPH_SCHEMA!r}, got {record.get('schema')!r}"

@@ -25,6 +25,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .canon import canonical_dumps, parse_json, sha256_hex
+from .energy import is_priority
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,8 +111,7 @@ class MemorizeDecision:
     def __post_init__(self) -> None:
         if not self.information_id:
             raise ValueError("information_id must be non-empty")
-        if not isinstance(self.priority_score, int) or isinstance(self.priority_score, bool) \
-                or not 1 <= self.priority_score <= 5:
+        if not is_priority(self.priority_score):
             raise ValueError(f"priority_score must be an integer in [1, 5], got {self.priority_score!r}")
         quantized = []
         for ts in self.key_timestamps_s:
@@ -163,7 +163,6 @@ Action = Union[Retrieve, Memorize, Answer]
 class ParsedResponse:
     thinking: str
     action: Action
-    raw: str
     warnings: tuple[str, ...] = ()
 
 
@@ -326,9 +325,7 @@ def parse_response(text: str) -> ParsedResponse:
 
     if scan[call_match.end():].strip():
         warnings.append(WARN_TRAILING_TEXT)
-    return ParsedResponse(
-        thinking=thinking, action=action, raw=text, warnings=tuple(warnings)
-    )
+    return ParsedResponse(thinking=thinking, action=action, warnings=tuple(warnings))
 
 
 def action_payload(action: Action) -> dict:

@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .canon import Record, canonical_dumps, read_json, write_text_atomic
-from .energy import ItemModality, VisualItem
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -311,18 +310,15 @@ def search(
 
 def resolve_keyframes(
     observation: Observation, key_timestamps_s: Sequence[float]
-) -> list[VisualItem]:
+) -> list[tuple[float, str]]:
     """Snap each requested timestamp to the nearest pre-sampled frame of the
-    clip (earlier frame wins on exact ties) and yield item seeds for the
-    memory bank.  Requests outside the clip are dropped with a warning.
-
-    Seeds carry modality, payload_ref, and source_timestamp_s; the identity
-    fields (ordinal / owner_node / slot) are -1 until the runtime attaches
-    them to a node.
+    clip (earlier frame wins on exact ties) and return the kept frames as
+    ``(timestamp_s, frame_ref)`` pairs of ``observation.frames``.  Requests
+    outside the clip are dropped with a warning.
     """
     if observation.modality is not Modality.VIDEO or not observation.frames:
         raise RetrievalError("keyframes can only be resolved on video clip observations")
-    seeds: list[VisualItem] = []
+    kept: list[tuple[float, str]] = []
     for requested in key_timestamps_s:
         if not observation.clip_start_s <= requested < observation.clip_end_s:
             log.warning(
@@ -333,18 +329,8 @@ def resolve_keyframes(
                 observation.source_id,
             )
             continue
-        ts, ref = min(observation.frames, key=lambda fr: (abs(fr[0] - requested), fr[0]))
-        seeds.append(
-            VisualItem(
-                ordinal=-1,
-                owner_node=-1,
-                slot=-1,
-                modality=ItemModality.VIDEO_FRAME,
-                payload_ref=ref,
-                source_timestamp_s=ts,
-            )
-        )
-    return seeds
+        kept.append(min(observation.frames, key=lambda fr: (abs(fr[0] - requested), fr[0])))
+    return kept
 
 
 # -- manifests and corpus files -------------------------------------------

@@ -439,58 +439,17 @@ def _action_kind(action: Action) -> str:
     return "answer"
 
 
-def _item_ref_for(observation: Observation) -> str:
-    return observation.asset_ref or f"corpus://{observation.source_id}"
-
-
-def _seed_items(
-    graph: MemoryGraph, action: Memorize, by_id: dict[str, Observation], node_index: int
-) -> list[int]:
-    """Turn useful memorize decisions into bank items: one per useful text or
-    image observation, one per resolved keyframe for videos."""
-    refs: list[int] = []
-    slot = 0
-    for decision in action.decisions:
-        if not decision.is_useful:
-            continue
-        obs = by_id[decision.information_id]
-        if obs.modality is Modality.VIDEO:
-            seeds = resolve_keyframes(obs, decision.key_timestamps_s)
-        else:
-            modality = ItemModality.TEXT if obs.modality is Modality.TEXT else ItemModality.IMAGE
-            seeds = [
-                VisualItem(
-                    ordinal=-1,
-                    owner_node=-1,
-                    slot=-1,
-                    modality=modality,
-                    payload_ref=_item_ref_for(obs),
-                )
-            ]
-        for seed in seeds:
-            item = replace(
-                seed,
-                ordinal=len(graph.memory_bank),
-                owner_node=node_index,
-                slot=slot,
-                saliency=1,
-                priority=decision.priority_score,
-            )
-            refs.append(graph.append_item(item))
-            slot += 1
-    return refs
-
-
 def apply_action(
     graph: MemoryGraph, action: Action, observations: Sequence[Observation] = ()
 ) -> None:
     """Apply one parsed action to the graph: a retrieve adds a skeletal
     search node, an answer the answer node, and a memorize populates the
-    newest node from ``observations``, the search results shown for it.
-    Nothing is searched.  The graph refuses an action out of turn: a
-    memorize whose newest node is not an open search node, or any action
-    once it is answered.  A refused memorize may leave the items it seeded
-    in the bank, so a caller that catches the error drops the graph."""
+    newest node from ``observations``, the search results shown for it,
+    with one bank item per useful text or image result and one per kept
+    keyframe of a useful video clip.  Nothing is searched.  The graph
+    refuses an action out of turn, before it changes: a memorize whose
+    newest node is not an open search node, or any action once it is
+    answered."""
     if isinstance(action, Retrieve):
         graph.add_search_node(action.title, action.parent_titles, action.query)
     elif isinstance(action, Answer):
@@ -504,9 +463,25 @@ def apply_action(
                     f"(offered: {sorted(by_id)})",
                     field_name="information_id",
                 )
-        node_index = len(graph.nodes) - 1
-        refs = _seed_items(graph, action, by_id, node_index)
-        graph.populate_node(node_index, action.summary, refs)
+        owner = len(graph.nodes) - 1
+        items: list[VisualItem] = []
+        for decision in action.decisions:
+            if not decision.is_useful:
+                continue
+            obs = by_id[decision.information_id]
+            if obs.modality is Modality.VIDEO:
+                modality = ItemModality.VIDEO_FRAME
+                frames = resolve_keyframes(obs, decision.key_timestamps_s)
+            else:
+                modality = ItemModality(obs.modality.value)  # text or image
+                frames = [(None, obs.asset_ref or f"corpus://{obs.source_id}")]
+            for timestamp_s, ref in frames:
+                ordinal, slot = len(graph.memory_bank) + len(items), len(items)
+                items.append(VisualItem(
+                    ordinal, owner, slot, modality, ref,
+                    priority=decision.priority_score, source_timestamp_s=timestamp_s,
+                ))
+        graph.memorize(action.summary, items)
     else:
         raise TypeError(f"not an action: {action!r}")
 

@@ -227,6 +227,20 @@ class TestRun:
         produced = tmp_path / "batch" / "trajectory_0000.jsonl"
         assert produced.read_bytes() == (GOLDEN / "demo_trajectory.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_is_usage_error(self, tmp_path, capsys, parallel):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"query": DEMO_QUERY}) + "\n", encoding="utf-8")
+        out = tmp_path / "batch"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", "--config", str(write_demo_config(tmp_path)), "--queries", str(queries),
+                "--out-dir", str(out), "--parallel", parallel,
+            ])
+        assert excinfo.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def closed_port_url() -> str:
     with socket.socket() as sock:

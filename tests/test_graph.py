@@ -138,6 +138,38 @@ class TestPopulate:
             g.populate_node(0, "s", [])
 
 
+def text_item(ordinal, owner, slot):
+    return VisualItem(ordinal, owner, slot, ItemModality.TEXT, f"r{ordinal}")
+
+
+class TestMemorize:
+    def test_appends_items_and_populates_newest_node(self):
+        g = build_demo_graph()
+        g.add_search_node("second", {"director-search"}, "q2")
+        items = [text_item(1, 2, 0), text_item(2, 2, 1)]
+        g.memorize("two finds", items)
+        assert g.memory_bank[1:] == items
+        assert g.nodes[2].items == (1, 2)
+        assert g.nodes[2].summary == "two finds" and g.nodes[2].populated
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [text_item(2, 2, 0)],
+            [text_item(1, 2, 0), text_item(1, 2, 1)],
+            [text_item(1, 2, 0), text_item(2, 1, 1)],
+        ],
+        ids=["ordinal-skips", "ordinal-repeats", "other-owner"],
+    )
+    def test_misnumbered_item_leaves_graph_unchanged(self, items):
+        g = build_demo_graph()
+        g.add_search_node("second", {"director-search"}, "q2")
+        before = canonical_dumps(g.to_dict())
+        with pytest.raises(BadItemRef):
+            g.memorize("s", items)
+        assert canonical_dumps(g.to_dict()) == before
+
+
 class TestAnswerAndTerminality:
     def test_answer_makes_graph_terminal(self):
         g = build_demo_graph()

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmem.canon import canonical_dumps
-from graphmem.energy import ItemModality
 from graphmem.retrieval import (
     BadClipLength,
     BadManifest,
@@ -333,16 +332,15 @@ class TestKeyframes:
 
     def test_snap_to_nearest(self, toy_corpus):
         obs = self._video_observation(toy_corpus)  # clip [0, 60), grid 0/15/30/45
-        seeds = resolve_keyframes(obs, [29.9])
-        assert len(seeds) == 1
-        assert seeds[0].source_timestamp_s == 30.0
-        assert seeds[0].modality is ItemModality.VIDEO_FRAME
+        kept = resolve_keyframes(obs, [29.9])
+        assert [ts for ts, _ in kept] == [30.0]
+        assert all(pair in obs.frames for pair in kept)
 
     def test_out_of_clip_dropped_with_warning(self, toy_corpus, caplog):
         obs = self._video_observation(toy_corpus)
         with caplog.at_level(logging.WARNING, logger="graphmem.retrieval"):
-            seeds = resolve_keyframes(obs, [999.0])
-        assert seeds == []
+            kept = resolve_keyframes(obs, [999.0])
+        assert kept == []
         assert any("dropped" in message for message in caplog.messages)
 
     def test_empty_request(self, toy_corpus):
@@ -350,8 +348,9 @@ class TestKeyframes:
 
     def test_equidistant_prefers_earlier_frame(self, toy_corpus):
         obs = self._video_observation(toy_corpus)  # grid 0/15/30/45
-        seeds = resolve_keyframes(obs, [22.5])
-        assert seeds[0].source_timestamp_s == 15.0
+        kept = resolve_keyframes(obs, [22.5, 37.5])
+        assert [ts for ts, _ in kept] == [15.0, 30.0]
+        assert all(pair in obs.frames for pair in kept)
 
 
 class TestPersistence:

@@ -9,7 +9,14 @@ import pytest
 from graphmem.canon import canonical_dumps
 from graphmem.config import load_config
 from graphmem.energy import EnergyParams, shape_memory
-from graphmem.graph import AlreadyPopulated, GraphTerminal, NodeKind, NotASearchNode, new_graph
+from graphmem.graph import (
+    AlreadyPopulated,
+    CorruptGraph,
+    GraphTerminal,
+    NodeKind,
+    NotASearchNode,
+    new_graph,
+)
 from graphmem.protocol import (
     Answer,
     Memorize,
@@ -195,6 +202,13 @@ DIRECTOR_HIT = Observation(
 )
 
 
+def memorize_director(graph):
+    """Retrieve, then memorize ``DIRECTOR_HIT`` as bank item 0."""
+    apply_action(graph, Retrieve("s", ("root",), "who directed Solaris Dawn film"))
+    memorize = Memorize("found it", (MemorizeDecision("Text 1", True, (), 5),))
+    apply_action(graph, memorize, (DIRECTOR_HIT,))
+
+
 class TestApplyAction:
     """One action on a bare graph, with no corpus and no policy."""
 
@@ -229,6 +243,24 @@ class TestApplyAction:
         apply_action(graph, memorize, (DIRECTOR_HIT,))
         assert graph.memory_bank == []
         assert graph.nodes[1].items == ()
+
+    @pytest.mark.parametrize(
+        "prepare, refusal",
+        [
+            (lambda graph: None, NotASearchNode),
+            (memorize_director, AlreadyPopulated),
+            (lambda graph: graph.add_answer_node({"root"}, "done"), GraphTerminal),
+        ],
+        ids=["root-only", "populated", "answered"],
+    )
+    def test_refused_memorize_leaves_graph_unchanged(self, prepare, refusal):
+        graph = new_graph(DEMO_QUERY)
+        prepare(graph)
+        before = canonical_dumps(graph.to_dict())
+        memorize = Memorize("again", (MemorizeDecision("Text 1", True, (), 4),))
+        with pytest.raises(refusal):
+            apply_action(graph, memorize, (DIRECTOR_HIT,))
+        assert canonical_dumps(graph.to_dict()) == before
 
     def test_unoffered_information_id_rejected(self):
         graph = new_graph(DEMO_QUERY)
@@ -447,6 +479,16 @@ class TestChatCompletionsClient:
             ChatCompletionsClient(url, "test-model")
 
 
+def golden_with_meta(tmp_path, key, value) -> Path:
+    """The demo golden with its meta line's ``key`` set to ``value``."""
+    lines = (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8").splitlines()
+    meta = json.loads(lines[0])
+    meta[key] = value
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n", encoding="utf-8")
+    return path
+
+
 class TestSessions:
     """The trajectory reader's typed errors."""
 
@@ -468,13 +510,13 @@ class TestSessions:
         ids=["query", "answer", "answer-null", "truncated", "truncated-0"],
     )
     def test_meta_disagreeing_with_graph_rejected(self, tmp_path, key, value):
-        lines = (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8").splitlines()
-        meta = json.loads(lines[0])
-        meta[key] = value
-        path = tmp_path / "edited.jsonl"
-        path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n", encoding="utf-8")
         with pytest.raises(CorruptSession, match="disagrees with its graph"):
-            load_trajectory(path)
+            load_trajectory(golden_with_meta(tmp_path, key, value))
+
+    @pytest.mark.parametrize("graph", [[], "x", 3], ids=["list", "string", "number"])
+    def test_graph_not_an_object_rejected(self, tmp_path, graph):
+        with pytest.raises(CorruptGraph, match="JSON object"):
+            load_trajectory(golden_with_meta(tmp_path, "graph", graph))
 
     def test_corrupt_file_rejected(self, toy_corpus, tmp_path):
         path = tmp_path / "corrupt.jsonl"
