@@ -414,23 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_blas_threads(args: argparse.Namespace) -> None:
-    """One BLAS thread per search in commands that search from several
-    threads at once; their parallelism comes from their own threads, and a
-    BLAS pool per caller would oversubscribe the cores.  A single caller
-    keeps the pool.  OpenBLAS reads the variable once, when numpy loads, so
-    it is set only before then, and a value the caller set wins."""
-    concurrent = args.command == "serve" or (
-        args.command == "run" and args.queries is not None and args.parallel > 1
-    )
-    if concurrent and "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_blas_threads(args)
     try:
         return args.func(args)
     except (DomainError, OSError) as exc:

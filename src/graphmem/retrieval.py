@@ -3,14 +3,16 @@
 Searchable units are text documents, images, and 1-minute video clips;
 images and videos are indexed by their caption text.  Embeddings are hashed
 bags of tokens (seeded, so identical across runs and platforms), similarity
-is cosine over unit vectors, and retrieval is an exhaustive scan, plenty at
-desk scale, and the embedding sits behind a tiny interface so a real model
-client can replace it.
+is cosine over unit vectors, and the embedding sits behind a tiny interface
+so a real model client can replace it.
+
+A search scores only the items that share a bucket with the query: per
+bucket, postings list the items non-zero there, and a query adds its
+weight into each posting it touches.  Scoring calls no BLAS, so rankings
+do not depend on the BLAS build or its thread count.
 
 numpy is imported inside the functions that compute, not at module level,
-so importing graphmem leaves it unloaded.  OpenBLAS reads its thread count
-once, when numpy loads, and ``cli.main`` sets that count for commands that
-search from several threads at once.
+so importing graphmem leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 log = logging.getLogger(__name__)
 
 EMBED_DIM_DEFAULT = 256
+EMBED_DIM_MAX = 65536  # largest a corpus file may declare
 EMBED_SEED_DEFAULT = 9157
 CLIP_LEN_DEFAULT = 60.0
 FRAMES_PER_CLIP_DEFAULT = 8
@@ -116,13 +119,21 @@ class SearchUnit:
 class Corpus:
     """``index`` holds one row per item, so the clips of a video share one
     row.  Item ``i`` owns ``units[first_unit[i]:first_unit[i + 1]]``; the
-    last entry of ``first_unit`` is ``len(units)``."""
+    last entry of ``first_unit`` is ``len(units)``.
+
+    The postings hold the same non-zero entries by bucket:
+    ``posting_rows[posting_start[j]:posting_start[j + 1]]`` are the rows
+    non-zero in bucket ``j``, ascending, and ``posting_vals`` holds their
+    entries at the same positions.  Search reads only the postings."""
 
     items: list[CorpusItem]
     clips: list[Clip]
     units: list[SearchUnit]
     first_unit: list[int]
     index: np.ndarray
+    posting_start: np.ndarray
+    posting_rows: np.ndarray
+    posting_vals: np.ndarray
     embed_dim: int
     embed_seed: int
     clip_len_s: float
@@ -220,16 +231,53 @@ def build_corpus(
         else:
             units.append(SearchUnit(item_pos=pos))
     first_unit.append(len(units))
+    posting_start, posting_rows, posting_vals = _postings(index)
     return Corpus(
         items=items,
         clips=clips,
         units=units,
         first_unit=first_unit,
         index=index,
+        posting_start=posting_start,
+        posting_rows=posting_rows,
+        posting_vals=posting_vals,
         embed_dim=embed_dim,
         embed_seed=embed_seed,
         clip_len_s=clip_len_s,
     )
+
+
+def _postings(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bucket-major postings of a dense index: bucket offsets, then the rows
+    non-zero in each bucket, ascending, and their entries."""
+    import numpy as np
+
+    dim = index.shape[1]
+    rows, buckets = np.divmod(np.flatnonzero(index != 0), dim)
+    # a stable sort by bucket keeps each bucket's rows ascending; with the
+    # narrowest key type that holds every bucket, numpy sorts by radix
+    order = np.argsort(buckets.astype(np.min_scalar_type(dim - 1)), kind="stable")
+    rows, buckets = rows[order], buckets[order]
+    start = np.zeros(dim + 1, dtype=np.intp)
+    np.cumsum(np.bincount(buckets, minlength=dim), out=start[1:])
+    return start, rows, index[rows, buckets]
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` highest scores, highest first, exact ties in
+    position order: ``np.argsort(-scores, kind="stable")[:k]`` without
+    sorting every score."""
+    import numpy as np
+
+    neg = -scores
+    if k >= len(neg):
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, k - 1)[k - 1]
+    # every score above the k-th, then the first of those tied with it
+    better = np.flatnonzero(neg < kth)
+    tied = np.flatnonzero(neg == kth)[: k - len(better)]
+    top = np.concatenate((better, tied))
+    return top[np.argsort(neg[top], kind="stable")]
 
 
 def frame_ref(source_id: str, timestamp_s: float) -> str:
@@ -270,12 +318,20 @@ def search(
     if not corpus.units:
         raise EmptyIndex("corpus has no searchable units")
     query_vec = embed(query, corpus.embed_dim, corpus.embed_seed)
-    scores = np.round(corpus.index @ query_vec, SCORE_DECIMALS)
-    # A stable sort keeps exact ties in insertion order.  An item's units are
-    # adjacent and tie exactly, so expanding the ranked items in order ranks
-    # the units; each item owns at least one unit, so k items suffice.
+    # Entries are >= 0, so an item that shares no bucket with the query
+    # scores exactly 0; the others differ from a dense product by a few ulps
+    # at most, which the quantization absorbs.
+    scores = np.zeros(len(corpus.items))
+    start, rows, vals = corpus.posting_start, corpus.posting_rows, corpus.posting_vals
+    for bucket in np.flatnonzero(query_vec).tolist():
+        lo, hi = start[bucket], start[bucket + 1]
+        scores[rows[lo:hi]] += vals[lo:hi] * query_vec[bucket]
+    scores = np.round(scores, SCORE_DECIMALS)
+    # Exact ties rank in insertion order.  An item's units are adjacent and
+    # tie exactly, so expanding the ranked items in order ranks the units;
+    # each item owns at least one unit, so k items suffice.
     first = corpus.first_unit
-    ranked_items = np.argsort(-scores, kind="stable")[:k].tolist()
+    ranked_items = _top_k(scores, k).tolist()
     order = itertools.islice(
         (unit for pos in ranked_items for unit in range(first[pos], first[pos + 1])), k
     )
@@ -390,8 +446,10 @@ def load_corpus(path: str | Path) -> Corpus:
     embed_seed = record.get("embed_seed")
     if not (_is_int(clip_len_s) or isinstance(clip_len_s, float)) or not math.isfinite(clip_len_s):
         raise BadManifest(f"{path}: 'clip_len_s' must be a finite number, got {clip_len_s!r}")
-    if not _is_int(embed_dim) or embed_dim < 1:
-        raise BadManifest(f"{path}: 'embed_dim' must be a positive integer, got {embed_dim!r}")
+    if not _is_int(embed_dim) or not 1 <= embed_dim <= EMBED_DIM_MAX:
+        raise BadManifest(
+            f"{path}: 'embed_dim' must be an integer in [1, {EMBED_DIM_MAX}], got {embed_dim!r}"
+        )
     if not _is_int(embed_seed) or not 0 <= embed_seed < 2**64:
         raise BadManifest(
             f"{path}: 'embed_seed' must be an integer in [0, 2**64), got {embed_seed!r}"

@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from graphmem.canon import canonical_dumps
@@ -761,19 +760,6 @@ def test_numpy_left_unloaded(tmp_path, argv):
     assert result.stdout.splitlines()[-1] == "False"
 
 
-def _os_threads(pid: int) -> int:
-    status = Path(f"/proc/{pid}/status").read_text(encoding="ascii")
-    return int(status.split("Threads:", 1)[1].split()[0])
-
-
-def _numpy_uses_openblas() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
-        return False
-    return "openblas" in blas
-
-
 def _start_serve(corpus_path: Path, env: dict) -> tuple[subprocess.Popen, int]:
     proc = subprocess.Popen(
         [sys.executable, "-m", "graphmem.cli", "serve", "--corpus", str(corpus_path),
@@ -793,13 +779,10 @@ def _stop_serve(proc: subprocess.Popen) -> None:
     proc.stderr.close()
 
 
-def test_serve_ranks_as_in_process_search_with_one_blas_thread(tmp_path):
-    """``serve`` runs BLAS with one thread, and its replies equal in-process
-    ``search`` observations.  With two OpenBLAS threads, row 2,048 of this
-    corpus, where the threads split the index, goes through another kernel
-    path than with one, and some of its raw scores differ by 1 ulp; the
-    ranking quantization absorbs that.  A caller's ``OPENBLAS_NUM_THREADS``
-    wins."""
+def test_serve_replies_equal_in_process_search(tmp_path):
+    """``serve`` replies byte for byte as in-process ``search`` ranks, with
+    ``OPENBLAS_NUM_THREADS`` unset and with two BLAS threads: a search
+    scores from postings, so the BLAS thread count cannot move a ranking."""
     rng = random.Random(4097)
     vocab = [f"w{i}" for i in range(64)]
 
@@ -812,34 +795,43 @@ def test_serve_ranks_as_in_process_search_with_one_blas_thread(tmp_path):
     corpus_path = tmp_path / "corpus.json"
     save_corpus(corpus, corpus_path)
     queries = [(words(5, 30), rng.randint(1, 20)) for _ in range(50)]
-    count_threads = (
-        sys.platform.startswith("linux")
-        and len(os.sched_getaffinity(0)) > 1
-        and _numpy_uses_openblas()
-    )
+    expected = [
+        (canonical_dumps({"results": [obs.to_dict() for obs in search(corpus, query, k)]})
+         + "\n").encode("utf-8")
+        for query, k in queries
+    ]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
 
-    proc, port = _start_serve(corpus_path, env)
-    try:
-        if count_threads:
-            assert _os_threads(proc.pid) == 1
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-        for query, k in queries:
-            conn.request("POST", "/search", body=json.dumps({"query": query, "k": k}))
-            response = conn.getresponse()
-            assert response.status == 200
-            expected = {"results": [obs.to_dict() for obs in search(corpus, query, k)]}
-            assert response.read() == (canonical_dumps(expected) + "\n").encode("utf-8")
-        conn.close()
-    finally:
-        _stop_serve(proc)
-
-    if count_threads:
-        proc, _ = _start_serve(corpus_path, {**env, "OPENBLAS_NUM_THREADS": "2"})
+    for blas_env in (env, {**env, "OPENBLAS_NUM_THREADS": "2"}):
+        proc, port = _start_serve(corpus_path, blas_env)
         try:
-            assert _os_threads(proc.pid) >= 2
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            for (query, k), reply in zip(queries, expected):
+                conn.request("POST", "/search", body=json.dumps({"query": query, "k": k}))
+                response = conn.getresponse()
+                assert response.status == 200
+                assert response.read() == reply
+            conn.close()
         finally:
             _stop_serve(proc)
+
+
+def test_serve_on_a_huge_embed_dim_is_one_bad_manifest_line(tmp_path):
+    """An ``embed_dim`` above 65536 is refused before the index is made,
+    not ended by numpy's allocation error."""
+    corpus_path = _write(
+        tmp_path / "c.json",
+        '{"schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": 1099511627776, '
+        '"embed_seed": 9157, "items": [{"id": "d", "modality": "text", "content": "x"}]}',
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "graphmem.cli", "serve", "--corpus", corpus_path, "--port", "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error [BadManifest]: "), result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert result.stdout == ""
 
 
 def test_serve_stops_on_sigterm_with_sigint_ignored():

@@ -167,6 +167,8 @@ class TestSearch:
 
     def test_empty_index(self):
         corpus = build_corpus([])
+        assert corpus.posting_start.tolist() == [0] * (corpus.embed_dim + 1)
+        assert corpus.posting_rows.size == corpus.posting_vals.size == 0
         with pytest.raises(EmptyIndex):
             search(corpus, "anything", 1)
 
@@ -252,16 +254,38 @@ def per_unit_search(items, clip_len_s, dim, query, k, n_frames=8):
             units.append((item, None))
     index = np.stack([embed(item.content, dim) for item, _ in units])
     scores = np.round(index @ embed(query, dim), 12)
+    ranked = np.argsort(-scores, kind="stable")[:k].tolist()
+    hits = [(*units[pos], float(scores[pos])) for pos in ranked]
+    return hit_records(hits, n_frames), len(units)
+
+
+def dense_search(corpus, query, k, n_frames=8):
+    """Search as it ran with a dense product: score every index row with
+    ``index @ q``, rank the items with a full stable argsort, and expand
+    each ranked item into its units."""
+    query_vec = embed(query, corpus.embed_dim, corpus.embed_seed)
+    scores = np.round(corpus.index @ query_vec, 12)
+    hits = []
+    for pos in np.argsort(-scores, kind="stable").tolist():
+        for unit in corpus.units[corpus.first_unit[pos]:corpus.first_unit[pos + 1]]:
+            clip = None if unit.clip_pos is None else corpus.clips[unit.clip_pos]
+            hits.append((corpus.items[pos], clip, float(scores[pos])))
+        if len(hits) >= k:
+            break
+    return hit_records(hits[:k], n_frames)
+
+
+def hit_records(hits, n_frames):
+    """Observation records for ``(item, clip, score)`` hits in rank order."""
     counters = {modality: 0 for modality in Modality}
     observations = []
-    for pos in np.argsort(-scores, kind="stable")[:k].tolist():
-        item, clip = units[pos]
+    for item, clip, score in hits:
         counters[item.modality] += 1
         record = {
             "id": f"{item.modality.value.capitalize()} {counters[item.modality]}",
             "source_id": item.id,
             "modality": item.modality.value,
-            "score": round(float(scores[pos]), 6),
+            "score": round(score, 6),
             "content": item.content,
             "asset_ref": item.asset_ref,
         }
@@ -270,7 +294,7 @@ def per_unit_search(items, clip_len_s, dim, query, k, n_frames=8):
             record["clip_end_s"] = clip.end_s
             record["frames"] = [[ts, ref] for ts, ref in sample_frames(clip, n_frames)]
         observations.append(record)
-    return observations, len(units)
+    return observations
 
 
 CAPTIONS = st.one_of(
@@ -306,6 +330,67 @@ def test_item_ranking_equals_per_unit_ranking(items, query):
         assert total == n_units
         got = [obs.to_dict() for obs in search(corpus, query, k)]
         assert canonical_dumps(got) == canonical_dumps(expected)
+
+
+class TestPostings:
+    def test_search_equals_dense_search(self):
+        """Postings scoring and top-k by partition give the whole output of
+        a dense product and a full stable sort, byte for byte, on a corpus
+        of texts and multi-clip videos with duplicate captions."""
+        rng = random.Random(1717)
+        vocab = [f"w{i}" for i in range(40)]
+        captions = [" ".join(rng.choices(vocab, k=rng.randint(1, 6))) for _ in range(60)]
+        items = [
+            CorpusItem(f"v{i:03d}", Modality.VIDEO, rng.choice(captions),
+                       duration_s=rng.choice([30.0, 90.0, 150.0, 300.0]))
+            if rng.random() < 0.3
+            else CorpusItem(f"t{i:03d}", Modality.TEXT, rng.choice(captions))
+            for i in range(300)
+        ]
+        corpus = build_corpus(items, clip_len_s=60.0)
+        n_items = len(items)
+        queries = [(" ".join(rng.choices(vocab, k=rng.randint(1, 8))), rng.randint(1, 100))
+                   for _ in range(600)]
+        queries += [(vocab[0], n_items), (vocab[1], n_items + 7), ("", 5), ("?! ...", 40)]
+        seen = set()
+        for query, k in queries:
+            got = [obs.to_dict() for obs in search(corpus, query, k)]
+            assert canonical_dumps(got) == canonical_dumps(dense_search(corpus, query, k))
+            scores = np.sort(np.round(corpus.index @ embed(query), 12))[::-1]
+            if k >= n_items:
+                seen.add("k at least the items")
+            elif np.count_nonzero(scores == scores[k - 1]) > k - np.count_nonzero(
+                scores > scores[k - 1]
+            ):
+                seen.add("k-th score tied past k")
+            if 0 < np.count_nonzero(scores) < k:
+                seen.add("zeros fill in")
+            if not scores.any():
+                seen.add("no known tokens")
+        assert seen == {"k at least the items", "k-th score tied past k", "zeros fill in",
+                        "no known tokens"}
+
+    def test_largest_embed_dim(self, tmp_path):
+        """At the largest ``embed_dim`` a corpus file may declare, the
+        postings hold every non-zero entry, each bucket's rows ascending,
+        buckets above 2**15 included, and search equals the dense one."""
+        rng = random.Random(65536)
+        items = [CorpusItem(f"d{i}", Modality.TEXT, " ".join(
+                     f"w{rng.randrange(5000)}" for _ in range(12)))
+                 for i in range(40)]
+        path = tmp_path / "c.json"
+        save_corpus(build_corpus(items, embed_dim=65536), path)
+        corpus = load_corpus(path)
+        start = corpus.posting_start
+        assert start[-1] == np.count_nonzero(corpus.index)
+        assert start[-1] > start[32768] > 0
+        rows, buckets = corpus.posting_rows, np.repeat(np.arange(65536), np.diff(start))
+        assert np.all((np.diff(buckets) > 0) | (np.diff(rows) > 0))
+        assert np.array_equal(corpus.index[rows, buckets], corpus.posting_vals)
+        for item in items[:10]:
+            query = " ".join(item.content.split()[:4])
+            got = [obs.to_dict() for obs in search(corpus, query, 8)]
+            assert canonical_dumps(got) == canonical_dumps(dense_search(corpus, query, 8))
 
 
 class TestFrames:
@@ -409,6 +494,8 @@ class TestPersistence:
             ("embed_dim", 0),
             ("embed_dim", 16.0),
             ("embed_dim", True),
+            ("embed_dim", 65537),
+            ("embed_dim", 2**40),
             ("embed_seed", None),
             ("embed_seed", -1),
             ("embed_seed", 2**64),
