@@ -7,10 +7,13 @@ Exit codes: 0 success, 1 domain or OS error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import copy
 import errno
 import json
 import os
+import signal
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
@@ -20,7 +23,6 @@ from .canon import canonical_dumps, parse_json, read_json, read_text, write_text
 from .config import Config, ConfigError, dump_config, load_config
 from .errors import DomainError
 from .retrieval import (
-    Corpus,
     Modality,
     build_corpus,
     load_corpus,
@@ -63,11 +65,12 @@ def _report(exc: DomainError | OSError, where: str = "") -> None:
 
 def _policy_source(config: Config, clients: ExitStack) -> Callable[[], Policy]:
     """Policy for each episode of a run.  A scripted policy holds a cursor,
-    so each episode gets its own; a remote one is shared, so its client's
-    connections and in-flight gate serve the whole run."""
+    so its script is read once and each episode gets a copy with its own
+    cursor; a remote one is shared, so its client's connections serve the
+    whole run."""
     if config.policy_mode == "scripted":
-        script = config.require("policy_script")
-        return lambda: ScriptedPolicy.from_file(script)
+        script = ScriptedPolicy.from_file(config.require("policy_script"))
+        return lambda: copy.copy(script)
     client = ChatCompletionsClient(
         config.require("policy_base_url"),
         config.require("policy_model"),
@@ -91,10 +94,6 @@ def _build_judge(config: Config, clients: ExitStack) -> ExactMatchJudge | Remote
     return RemoteJudge(client)
 
 
-def _load_corpus(config: Config) -> Corpus:
-    return load_corpus(config.require("corpus_path"))
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -113,31 +112,6 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
         f"({len(corpus.units)} searchable units) -> {args.out}"
     )
     return 0
-
-
-def _run_one(
-    config: Config,
-    corpus: Corpus,
-    policy: Policy,
-    judge: ExactMatchJudge | RemoteJudge,
-    query: str,
-    gold: str | None,
-    out_path: Path,
-) -> tuple[Trajectory, int | None]:
-    # a bad output location fails before any policy call is spent
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    if out_path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
-    trajectory = run_episode(policy, corpus, query, config.episode_config())
-    verdict: int | None = None
-    if gold is not None and trajectory.answer_text is not None:
-        try:
-            verdict = judge.judge(query, gold, trajectory.answer_text)
-        except JudgeError as exc:
-            print(f"warning: {exc}; episode kept without reward", file=sys.stderr)
-    trajectory.reward = verdict
-    save_trajectory(trajectory, out_path)
-    return trajectory, verdict
 
 
 def _apply_overrides(config: Config, overrides: list[str]) -> Config:
@@ -205,41 +179,55 @@ def _read_gold_manifest(path: str) -> dict[str, list[str]]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.queries is not None and (args.out is not None or args.gold is not None):
+        args.usage_error("--out and --gold go with --query; --queries files carry their own gold")
     config = _apply_overrides(load_config(args.config), args.set or [])
-    corpus = _load_corpus(config)
     out_dir = Path(args.out_dir or config.output_dir)
-    with ExitStack() as clients:
-        new_policy = _policy_source(config, clients)
-        judge = _build_judge(config, clients)
+    if args.query is not None:
+        out_path = Path(args.out) if args.out else out_dir / "trajectory.jsonl"
+        runs = [(args.query, args.gold, out_path)]
+    else:
+        runs = [
+            (entry["query"], entry.get("gold"), out_dir / f"trajectory_{index:04d}.jsonl")
+            for index, entry in enumerate(_read_queries(args.queries))
+        ]
+    # what the episodes share is read and checked once, before the corpus
+    episode_config = config.episode_config()
+    failed = 0
+    with ExitStack() as stack:
+        new_policy = _policy_source(config, stack)
+        judge = _build_judge(config, stack)
+        # Ctrl-C ends the run at once, episodes in flight included: the
+        # pool's exit would otherwise run every queued episode first.  A
+        # parent that ignores SIGINT (a background job) keeps it ignored.
+        if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            stack.callback(signal.signal, signal.SIGINT, signal.default_int_handler)
+        corpus = load_corpus(config.require("corpus_path"))
 
-        if args.query is not None:
-            out_path = Path(args.out) if args.out else out_dir / "trajectory.jsonl"
-            trajectory, verdict = _run_one(
-                config, corpus, new_policy(), judge, args.query, args.gold, out_path
-            )
+        def run_one(index: int, query: str, gold: str | None, out_path: Path) -> str:
+            # a bad output location fails before any policy call is spent
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            if out_path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_path))
+            trajectory = run_episode(new_policy(), corpus, query, episode_config)
+            verdict: int | None = None
+            if gold is not None and trajectory.answer_text is not None:
+                try:
+                    verdict = judge.judge(query, gold, trajectory.answer_text)
+                except JudgeError as exc:
+                    print(f"warning: [{index}] {exc}; episode kept without reward", file=sys.stderr)
+            trajectory.reward = verdict
+            save_trajectory(trajectory, out_path)
             status = "answered" if trajectory.answer_text is not None else "truncated"
             verdict_text = "absent" if verdict is None else str(verdict)
-            print(
-                f"{status} after {len(trajectory.records)} cycles; "
+            return (
+                f"[{index}] {status} after {len(trajectory.records)} cycles, "
                 f"verdict {verdict_text} -> {out_path}"
             )
-            return 0
 
-        entries = _read_queries(args.queries)
-
-        def run_entry(indexed: tuple[int, dict]) -> str:
-            index, entry = indexed
-            out_path = out_dir / f"trajectory_{index:04d}.jsonl"
-            trajectory, verdict = _run_one(
-                config, corpus, new_policy(), judge, entry["query"], entry.get("gold"), out_path
-            )
-            status = "answered" if trajectory.answer_text is not None else "truncated"
-            verdict_text = "absent" if verdict is None else str(verdict)
-            return f"[{index}] {status}, verdict {verdict_text} -> {out_path}"
-
-        failed = 0
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            futures = [pool.submit(run_entry, indexed) for indexed in enumerate(entries)]
+            futures = [pool.submit(run_one, index, *run) for index, run in enumerate(runs)]
             for index, future in enumerate(futures):
                 try:
                     print(future.result())
@@ -321,23 +309,30 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-
     corpus = load_corpus(args.corpus)
     server = make_search_server(
         corpus, host=args.host, port=args.port, default_k=args.k, n_frames=args.n_frames
     )
     host, port = server.server_address[:2]
-    # SIGTERM stops the server as SIGINT does, so a parent that has SIGINT
-    # ignored (a background job) can still shut it down cleanly
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+
+    # SIGTERM, and SIGINT unless the parent ignores it (a background job),
+    # ask the serving loop to stop from another thread.  A KeyboardInterrupt
+    # raised by the signal could land inside threading's own locks, where
+    # socketserver reports the broken lock and serves on.
+    def stop(signum, frame) -> None:
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    stops = [signal.SIGTERM]
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        stops.append(signal.SIGINT)
+    previous = {signum: signal.signal(signum, stop) for signum in stops}
     print(f"serving POST /search on http://{host}:{port}", flush=True)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        # the loop sees a stop request only between polls
+        server.serve_forever(poll_interval=0.05)
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         server.server_close()
     return 0
 
@@ -375,15 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     group = run.add_mutually_exclusive_group(required=True)
     group.add_argument("--query")
     group.add_argument("--queries", help="JSONL file of {query, gold?} entries")
-    run.add_argument("--gold")
-    run.add_argument("--out", help="trajectory output path (single query)")
+    run.add_argument("--gold", help="reference answer (with --query)")
+    run.add_argument("--out", help="trajectory output path (with --query)")
     run.add_argument("--out-dir", help="output directory (defaults to config output_dir)")
     run.add_argument("--parallel", type=_positive_int, default=1)
     run.add_argument(
         "--set", action="append", metavar="FIELD=VALUE",
         help="override a config field (repeatable), e.g. --set t_max=3",
     )
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_run, usage_error=run.error)
 
     prune = sub.add_parser("prune", help="segment, mask, and export training batches")
     prune.add_argument("--trajectories", nargs="+", required=True)

@@ -101,13 +101,10 @@ class Config:
             instruction=instruction,
         )
 
-    def instruction_text(self) -> str:
-        if not self.instruction_path:
-            return DEFAULT_INSTRUCTION
-        return read_text(self.instruction_path, ConfigError)
-
     def episode_config(self) -> EpisodeConfig:
-        return self._episode_config(self.instruction_text())
+        if not self.instruction_path:
+            return self._episode_config(DEFAULT_INSTRUCTION)
+        return self._episode_config(read_text(self.instruction_path, ConfigError))
 
     def require(self, field_name: str) -> str:
         value = getattr(self, field_name)

@@ -151,8 +151,7 @@ _STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, Broke
 class ChatCompletionsClient:
     """Thin client for a chat-completions style HTTP endpoint.  Each calling
     thread keeps one connection alive, so one client can serve parallel
-    episodes, and ``max_in_flight`` bounds the calls open at once across
-    them.  The auth token is read from an environment variable.  Requests
+    episodes.  The auth token is read from an environment variable.  Requests
     and responses are not kept: a prompt can run to tens of thousands of
     characters per turn."""
 
@@ -163,13 +162,11 @@ class ChatCompletionsClient:
         *,
         token_env: str = TOKEN_ENV_DEFAULT,
         timeout_s: float = 60.0,
-        max_in_flight: int = 8,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.token_env = token_env
         self.timeout_s = timeout_s
-        self._gate = threading.Semaphore(max_in_flight)
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []
         self._url = f"{self.base_url}/chat/completions"
@@ -193,8 +190,7 @@ class ChatCompletionsClient:
         token = os.environ.get(self.token_env, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        with self._gate:
-            status, reply = self._post(body, headers)
+        status, reply = self._post(body, headers)
         if not 200 <= status < 300:
             raise PolicyUnreachable(f"POST {self._url} answered HTTP {status}")
         try:

@@ -7,6 +7,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,7 +139,8 @@ class TestRun:
             "--out", str(out),
         ])
         assert code == 0
-        assert "verdict 1" in capsys.readouterr().out
+        # a single query reports as a batch of one does
+        assert capsys.readouterr().out == f"[0] answered after 3 cycles, verdict 1 -> {out}\n"
         assert out.read_bytes() == (GOLDEN / "demo_trajectory.jsonl").read_bytes()
 
     def test_missing_corpus_path_names_field(self, tmp_path, capsys):
@@ -225,6 +227,53 @@ class TestRun:
         assert code == 0
         produced = tmp_path / "batch" / "trajectory_0000.jsonl"
         assert produced.read_bytes() == (GOLDEN / "demo_trajectory.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, code",
+        [("instruction_path", "ConfigError"), ("policy_script", "PolicyProtocolError")],
+    )
+    def test_bad_run_wide_input_is_one_line_before_the_corpus(
+        self, tmp_path, capsys, field, code
+    ):
+        missing = tmp_path / "missing"
+        config = write_demo_config(
+            tmp_path, corpus_path=str(tmp_path / "no-corpus.json"), **{field: str(missing)}
+        )
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text((json.dumps({"query": DEMO_QUERY}) + "\n") * 3, encoding="utf-8")
+        out = tmp_path / "batch"
+        exit_code = main([
+            "run", "--config", str(config), "--queries", str(queries), "--out-dir", str(out),
+        ])
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one line for the run, naming the shared input, not the corpus
+        (error,) = captured.err.splitlines()
+        assert error.startswith(f"error [{code}]: {missing}: "), error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--out", "t.jsonl"), ("--gold", "mira chen")])
+    def test_out_or_gold_with_queries_is_usage_error(self, tmp_path, capsys, flag, value):
+        config = write_demo_config(tmp_path)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"query": DEMO_QUERY}) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", "--config", str(config), "--queries", str(queries),
+                "--out-dir", str(tmp_path / "batch"), flag, str(tmp_path / value),
+            ])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "queries.jsonl"]
+
+    def test_run_restores_the_sigint_handler(self, tmp_path, capsys):
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            assert main(_run_with(tmp_path)) == 0
+            assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        finally:
+            signal.signal(signal.SIGINT, previous)
 
     @pytest.mark.parametrize("parallel", ["0", "-1"])
     def test_parallel_below_one_is_usage_error(self, tmp_path, capsys, parallel):
@@ -868,6 +917,133 @@ def test_serve_stops_on_sigterm_with_sigint_ignored():
             f"{type(exc).__name__}: {exc}\n"
             f"server exit status {status}, stderr:\n{proc.stderr.read()}"
         ) from exc
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def _start_remote_run(tmp_path, stub, run_args: list[str], sigint) -> subprocess.Popen:
+    """``graphmem run`` against ``stub`` in a child process that starts with
+    ``sigint`` as its SIGINT action; returns once the first call arrives."""
+    config = write_demo_config(
+        tmp_path, policy_mode="remote", policy_base_url=stub.base_url,
+        policy_model="test-model", policy_timeout_s=5,
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphmem.cli", "run", "--config", str(config), *run_args,
+         "--out-dir", str(tmp_path / "out")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, sigint),
+    )
+    deadline = time.monotonic() + 30
+    while not stub.headers:
+        if proc.poll() is not None or time.monotonic() > deadline:
+            proc.kill()
+            raise AssertionError(f"no policy call; stderr:\n{proc.communicate()[1]}")
+        time.sleep(0.01)
+    return proc
+
+
+def _slow_script_stub(delay_s: float) -> KeepAliveStub:
+    script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
+
+    def respond(n: int):
+        time.sleep(delay_s)
+        return 200, chat_reply(script[n % len(script)])
+
+    return KeepAliveStub(respond)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["query", "queries"])
+def test_run_stops_at_once_on_sigint(tmp_path, batch):
+    """Ctrl-C ends ``graphmem run`` at once, one query or a batch: the
+    episode in flight is dropped, no queued one starts, and nothing is
+    printed on stderr."""
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text((json.dumps({"query": DEMO_QUERY}) + "\n") * 12, encoding="utf-8")
+    run_args = ["--queries", str(queries)] if batch else ["--query", DEMO_QUERY]
+    with _slow_script_stub(0.5) as stub:
+        proc = _start_remote_run(tmp_path, stub, run_args, signal.SIG_DFL)
+        try:
+            proc.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            status = proc.wait(timeout=10)
+            took = time.monotonic() - sent
+            stdout, stderr = proc.communicate()
+            time.sleep(0.6)  # longer than one reply: a queued episode would have called
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert took < 2
+    assert status == -signal.SIGINT, (status, stderr)
+    assert stderr == ""
+    assert stdout == ""
+    assert len(stub.headers) == 1  # the call in flight when the signal came
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_run_keeps_an_ignored_sigint_ignored(tmp_path):
+    """Under a parent that ignores SIGINT (a background job), the run goes
+    on to its end."""
+    with _slow_script_stub(0.05) as stub:
+        proc = _start_remote_run(tmp_path, stub, ["--query", DEMO_QUERY], signal.SIG_IGN)
+        try:
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert proc.returncode == 0, stderr
+    assert stdout.startswith("[0] answered after 3 cycles, verdict absent -> ")
+    assert (tmp_path / "out" / "trajectory.jsonl").exists()
+
+
+# Run in the server's process: the main thread sleeps before it takes back a
+# condition's lock, which widens the window in which a signal lands inside
+# threading's own lock code while the serving loop starts a handler thread.
+_SLOW_LOCK_RESTORE = """\
+import sys, threading, time
+restore = threading.Condition._acquire_restore
+def slow(self, saved):
+    if threading.current_thread() is threading.main_thread():
+        time.sleep(0.3)
+    return restore(self, saved)
+threading.Condition._acquire_restore = slow
+from graphmem.cli import main
+sys.exit(main(["serve", "--corpus", sys.argv[1], "--port", "0"]))
+"""
+
+
+@pytest.mark.parametrize(
+    "sigint, stop",
+    [(signal.SIG_IGN, signal.SIGTERM), (signal.SIG_DFL, signal.SIGINT)],
+    ids=["sigterm", "sigint"],
+)
+def test_serve_stops_on_a_signal_inside_threading_locks(sigint, stop):
+    """A stop signal that lands while the serving loop is inside
+    threading's lock code, just after a request, still shuts the server
+    down cleanly."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_LOCK_RESTORE, str(FIXTURES / "demo_corpus.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, sigint),
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving POST /search on http://127.0.0.1:"), line
+        conn = http.client.HTTPConnection("127.0.0.1", int(line.rsplit(":", 1)[1]), timeout=5)
+        conn.request("POST", "/search", body=json.dumps({"query": "Solaris Dawn", "k": 1}))
+        assert conn.getresponse().status == 200
+        proc.send_signal(stop)
+        assert proc.wait(timeout=5) == 0
+        conn.close()
+        stderr = proc.stderr.read()
+        assert "Traceback" not in stderr, stderr
     finally:
         if proc.poll() is None:
             proc.kill()
