@@ -14,6 +14,7 @@ import os
 import signal
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
@@ -103,12 +104,11 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
         raise EmptyCorpus(f"no corpus items found under {args.manifest_dir}")
     corpus = build_corpus(items, clip_len_s=args.clip_len)
     save_corpus(corpus, args.out)
-    counts = {modality: 0 for modality in Modality}
-    for item in corpus.items:
-        counts[item.modality] += 1
+    counts = Counter(item.modality for item in corpus.items)
+    clips = sum(unit.clip is not None for unit in corpus.units)
     print(
         f"{counts[Modality.TEXT]} texts, {counts[Modality.IMAGE]} images, "
-        f"{counts[Modality.VIDEO]} videos, {len(corpus.clips)} clips indexed "
+        f"{counts[Modality.VIDEO]} videos, {clips} clips indexed "
         f"({len(corpus.units)} searchable units) -> {args.out}"
     )
     return 0

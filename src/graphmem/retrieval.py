@@ -6,10 +6,10 @@ bags of tokens (seeded, so identical across runs and platforms), similarity
 is cosine over unit vectors, and the embedding sits behind a tiny interface
 so a real model client can replace it.
 
-A search scores only the items that share a bucket with the query: per
-bucket, postings list the items non-zero there, and a query adds its
-weight into each posting it touches.  Scoring calls no BLAS, so rankings
-do not depend on the BLAS build or its thread count.
+The index is per-bucket postings: the items non-zero in each bucket, with
+their entries.  A search adds the query's weight into each posting it
+touches, scoring only the items that share a bucket with the query, and
+calls no BLAS, so rankings do not depend on the BLAS build or its threads.
 
 numpy is imported inside the functions that compute, not at module level,
 so importing graphmem leaves it unloaded.
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .canon import Record, canonical_dumps, read_json, write_text_atomic
 from .errors import DomainError
@@ -89,6 +89,9 @@ class CorpusItem(Record, optional=("asset_ref",)):
     asset_ref: str = ""
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.id, str) and isinstance(self.content, str)
+                and isinstance(self.asset_ref, str)):
+            raise TypeError(f"corpus item {self.id!r}: id, content and asset_ref must be strings")
         if not self.id:
             raise ValueError("corpus item id must be non-empty")
         if self.modality is Modality.VIDEO:
@@ -108,32 +111,37 @@ class Clip:
 
 @dataclass(frozen=True)
 class SearchUnit:
-    """One search hit: a text doc, an image, or a video clip.  Its vector is
-    the index row of its item."""
+    """One search hit: a text doc, an image, or a video clip.  It scores as
+    its item, so the clips of a video tie."""
 
     item_pos: int
-    clip_pos: int | None = None  # set for video clips
+    clip: Clip | None = None  # set for video clips
+
+
+class Postings(NamedTuple):
+    """The item embeddings by bucket: ``rows[start[j]:start[j + 1]]`` are
+    the items non-zero in bucket ``j``, ascending, and ``vals`` holds their
+    entries at the same positions."""
+
+    start: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.start.nbytes + self.rows.nbytes + self.vals.nbytes
 
 
 @dataclass
 class Corpus:
-    """``index`` holds one row per item, so the clips of a video share one
-    row.  Item ``i`` owns ``units[first_unit[i]:first_unit[i + 1]]``; the
-    last entry of ``first_unit`` is ``len(units)``.
-
-    The postings hold the same non-zero entries by bucket:
-    ``posting_rows[posting_start[j]:posting_start[j + 1]]`` are the rows
-    non-zero in bucket ``j``, ascending, and ``posting_vals`` holds their
-    entries at the same positions.  Search reads only the postings."""
+    """Item ``i`` owns ``units[first_unit[i]:first_unit[i + 1]]``; the last
+    entry of ``first_unit`` is ``len(units)``.  ``index`` holds one
+    embedding per item, so the clips of a video share it."""
 
     items: list[CorpusItem]
-    clips: list[Clip]
     units: list[SearchUnit]
     first_unit: list[int]
-    index: np.ndarray
-    posting_start: np.ndarray
-    posting_rows: np.ndarray
-    posting_vals: np.ndarray
+    index: Postings
     embed_dim: int
     embed_seed: int
     clip_len_s: float
@@ -203,8 +211,8 @@ def build_corpus(
     embed_dim: int = EMBED_DIM_DEFAULT,
     embed_seed: int = EMBED_SEED_DEFAULT,
 ) -> Corpus:
-    """Segment videos into clips and embed every item once.
-    Deterministic given the inputs."""
+    """Segment videos into clips and embed every item once, keeping the
+    embeddings only as postings.  Deterministic given the inputs."""
     import numpy as np
 
     items = list(items)
@@ -216,7 +224,6 @@ def build_corpus(
     if not 0 < clip_len_s < math.inf:
         raise BadClipLength(f"clip length must be finite and > 0, got {clip_len_s!r}")
 
-    clips: list[Clip] = []
     units: list[SearchUnit] = []
     first_unit: list[int] = []
     index = np.empty((len(items), embed_dim), dtype=np.float64)
@@ -226,30 +233,23 @@ def build_corpus(
         first_unit.append(len(units))
         if item.modality is Modality.VIDEO:
             for start, end in segment_video(item.duration_s, clip_len_s):
-                clips.append(Clip(item.id, start, end))
-                units.append(SearchUnit(item_pos=pos, clip_pos=len(clips) - 1))
+                units.append(SearchUnit(item_pos=pos, clip=Clip(item.id, start, end)))
         else:
             units.append(SearchUnit(item_pos=pos))
     first_unit.append(len(units))
-    posting_start, posting_rows, posting_vals = _postings(index)
     return Corpus(
         items=items,
-        clips=clips,
         units=units,
         first_unit=first_unit,
-        index=index,
-        posting_start=posting_start,
-        posting_rows=posting_rows,
-        posting_vals=posting_vals,
+        index=_postings(index),
         embed_dim=embed_dim,
         embed_seed=embed_seed,
         clip_len_s=clip_len_s,
     )
 
 
-def _postings(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bucket-major postings of a dense index: bucket offsets, then the rows
-    non-zero in each bucket, ascending, and their entries."""
+def _postings(index: np.ndarray) -> Postings:
+    """The postings of a dense index, one row per item."""
     import numpy as np
 
     dim = index.shape[1]
@@ -260,7 +260,7 @@ def _postings(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows, buckets = rows[order], buckets[order]
     start = np.zeros(dim + 1, dtype=np.intp)
     np.cumsum(np.bincount(buckets, minlength=dim), out=start[1:])
-    return start, rows, index[rows, buckets]
+    return Postings(start, rows, index[rows, buckets])
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -280,10 +280,6 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return top[np.argsort(neg[top], kind="stable")]
 
 
-def frame_ref(source_id: str, timestamp_s: float) -> str:
-    return f"frame://{source_id}?t={timestamp_s:.3f}"
-
-
 def sample_frames(clip: Clip, n: int) -> list[tuple[float, str]]:
     """``n`` uniformly spaced frames over [start, end), first at start.
     Timestamps are stored at the canonical 6-decimal precision."""
@@ -293,7 +289,7 @@ def sample_frames(clip: Clip, n: int) -> list[tuple[float, str]]:
     out = []
     for i in range(n):
         ts = round(clip.start_s + span * i / n, 6)
-        out.append((ts, frame_ref(clip.source_id, ts)))
+        out.append((ts, f"frame://{clip.source_id}?t={ts:.3f}"))
     return out
 
 
@@ -322,7 +318,7 @@ def search(
     # scores exactly 0; the others differ from a dense product by a few ulps
     # at most, which the quantization absorbs.
     scores = np.zeros(len(corpus.items))
-    start, rows, vals = corpus.posting_start, corpus.posting_rows, corpus.posting_vals
+    start, rows, vals = corpus.index
     for bucket in np.flatnonzero(query_vec).tolist():
         lo, hi = start[bucket], start[bucket + 1]
         scores[rows[lo:hi]] += vals[lo:hi] * query_vec[bucket]
@@ -343,12 +339,11 @@ def search(
         item = corpus.items[unit.item_pos]
         counters[item.modality] += 1
         clip_fields = {}
-        if unit.clip_pos is not None:
-            clip = corpus.clips[unit.clip_pos]
+        if unit.clip is not None:
             clip_fields = {
-                "clip_start_s": clip.start_s,
-                "clip_end_s": clip.end_s,
-                "frames": tuple(sample_frames(clip, n_frames)),
+                "clip_start_s": unit.clip.start_s,
+                "clip_end_s": unit.clip.end_s,
+                "frames": tuple(sample_frames(unit.clip, n_frames)),
             }
         observations.append(
             Observation(

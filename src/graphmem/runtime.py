@@ -201,6 +201,8 @@ class ChatCompletionsClient:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise PolicyProtocolError(f"malformed chat-completions response: {exc}") from exc
+        if not isinstance(content, str):
+            raise PolicyProtocolError(f"chat-completions content is not a string: {content!r}")
         return content
 
     def close(self) -> None:
@@ -382,8 +384,8 @@ class Trajectory:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trajectory":
-        """Read a trajectory file.  The meta line's query, answer and
-        truncation flag must be what its graph says."""
+        """Read a trajectory file.  Its reward must be null, 0 or 1, and the
+        meta line's query, answer and truncation flag what its graph says."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise CorruptSession("empty trajectory file")
@@ -407,6 +409,9 @@ class Trajectory:
             stated = (meta["query"], meta["answer"], meta["truncated"])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorruptSession(f"malformed trajectory record: {exc}") from exc
+        reward = trajectory.reward  # true and 1.0 both equal 1
+        if reward is not None and (type(reward) is not int or reward not in (0, 1)):
+            raise CorruptSession(f"trajectory reward must be null, 0 or 1, got {reward!r}")
         derived = (trajectory.query, trajectory.answer_text, trajectory.truncated)
         # types too: 1 == True, but the graph says true
         if [(type(v), v) for v in stated] != [(type(v), v) for v in derived]:

@@ -373,7 +373,7 @@ def test_criterion_10_search_correctness():
         query = " ".join(rng.choices(vocabulary, k=rng.randint(1, 5)))
         k = rng.randint(1, min(size + 3, 25))
         oracle = pure_python_topk(
-            [list(map(float, row)) for row in corpus.index],
+            [list(map(float, embed(item.content, dim=dim))) for item in items],
             list(map(float, embed(query, dim=dim))),
             k,
         )

@@ -310,8 +310,11 @@ class TestRemoteRun:
             (None, "PolicyUnreachable"),
             (lambda n: (500, b"overloaded"), "PolicyUnreachable"),
             (lambda n: (200, b"<html>not json</html>"), "PolicyProtocolError"),
+            (lambda n: (200, chat_reply(None)), "PolicyProtocolError"),
+            (lambda n: (200, b'{"choices": [{"message": {"content": ["x"]}}]}'),
+             "PolicyProtocolError"),
         ],
-        ids=["closed-port", "http-500", "not-json"],
+        ids=["closed-port", "http-500", "not-json", "null-content", "list-content"],
     )
     def test_policy_failure_is_one_typed_line(self, tmp_path, capsys, respond, code):
         def run(base_url: str) -> int:
@@ -327,6 +330,24 @@ class TestRemoteRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error [{code}]: ")
         assert err.count("\n") == 1
+
+    def test_judge_reply_without_string_content_keeps_the_episode(self, tmp_path, capsys):
+        """A judge whose reply content is null is a judge failure: one
+        warning line, and the episode is kept without a reward."""
+        out = tmp_path / "t.jsonl"
+        with KeepAliveStub(lambda n: (200, chat_reply(None))) as stub:
+            config = write_demo_config(
+                tmp_path, judge_mode="remote", judge_base_url=stub.base_url,
+                judge_model="test-model",
+            )
+            code = main([
+                "run", "--config", str(config), "--query", DEMO_QUERY,
+                "--gold", "mira chen, 2019", "--out", str(out),
+            ])
+        assert code == 0
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: [0] judge endpoint failed: chat-completions content")
+        assert json.loads(out.read_text(encoding="utf-8").splitlines()[0])["reward"] is None
 
     def test_one_client_serves_the_whole_batch(self, tmp_path, capsys):
         script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
@@ -452,6 +473,19 @@ class TestPrune:
         assert code == 0
         lines = [json.loads(line) for line in batch.read_text().strip().splitlines()]
         assert {line["advantage"] for line in lines} == {0.0}
+
+    @pytest.mark.parametrize("reward", [True, 1.0, 2, "1"], ids=["true", "1.0", "2", "string"])
+    def test_reward_not_null_0_or_1_is_corrupt_session(self, tmp_path, capsys, reward):
+        lines = (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8").splitlines()
+        meta = json.loads(lines[0])
+        meta["reward"] = reward
+        path = _write(tmp_path / "t.jsonl", "\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        batch = tmp_path / "b.jsonl"
+        assert main(["prune", "--trajectories", path, "--out-batch", str(batch)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [CorruptSession]: ")
+        assert err.count("\n") == 1
+        assert not batch.exists()
 
     def test_reprune_byte_identical(self, tmp_path):
         paths, gold = self._positive_and_negative(tmp_path)
@@ -881,6 +915,34 @@ def test_serve_on_a_huge_embed_dim_is_one_bad_manifest_line(tmp_path):
     assert result.stderr.startswith("error [BadManifest]: "), result.stderr
     assert result.stderr.count("\n") == 1, result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "field, value", [("id", 7), ("content", 5), ("asset_ref", ["a"])],
+    ids=["id", "content", "asset_ref"],
+)
+def test_non_string_corpus_item_field_is_one_bad_manifest_line(tmp_path, capsys, field, value):
+    """``corpus build`` over a manifest and ``serve`` over a corpus file
+    refuse an item whose id, content or asset_ref is not a string."""
+    item = {"id": "d", "modality": "text", "content": "body", field: value}
+    assert main(_build_from_manifest(tmp_path, json.dumps({"items": [item]}))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [BadManifest]: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+    corpus_path = _write(tmp_path / "c.json", json.dumps({
+        "schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": 16, "embed_seed": 9157,
+        "items": [item],
+    }))
+    # in a child process: a corpus that loads would start serving
+    result = subprocess.run(
+        [sys.executable, "-m", "graphmem.cli", "serve", "--corpus", corpus_path, "--port", "0"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error [BadManifest]: "), result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
 
 
 def test_serve_stops_on_sigterm_with_sigint_ignored():

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from graphmem.retrieval import load_corpus
+
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "graphmem"
 CALLER_DIRS = ("src", "scripts", "perfbench")
@@ -73,13 +75,19 @@ def test_allowlist_names_exist_and_stay_uncalled():
 def test_tracer_finds_every_name_it_rebinds():
     """The benchmark's tracer rebinds names in the program's modules (for
     example ``canonical_dumps`` in each module that imports it, and
-    ``MemoryGraph.to_dict``); a name it cannot find fails its install."""
+    ``MemoryGraph.to_dict``); a name it cannot find fails its install.  A
+    corpus loaded through the rebound ``cli.load_corpus`` runs the hook that
+    reads the corpus's attributes."""
     code = (
         "import sys; sys.path.insert(0, 'perfbench'); import tracing; "
-        "tracing.install(tracing.Recorder())"
+        "from graphmem import cli; rec = tracing.Recorder(); tracing.install(rec); "
+        "cli.load_corpus('tests/fixtures/demo_corpus.json'); "
+        "print(rec.counts['retrieval.index.units'], rec.counts['retrieval.index.bytes'])"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+    corpus = load_corpus(ROOT / "tests" / "fixtures" / "demo_corpus.json")
+    assert result.stdout.split() == [str(len(corpus.units)), str(corpus.index.nbytes)]

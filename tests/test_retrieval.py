@@ -41,19 +41,18 @@ class TestBuildCorpus:
         corpus = build_corpus(
             [CorpusItem("v", Modality.VIDEO, "caption", duration_s=150.0)], clip_len_s=60.0
         )
-        bounds = [(clip.start_s, clip.end_s) for clip in corpus.clips]
+        bounds = [(unit.clip.start_s, unit.clip.end_s) for unit in corpus.units]
         assert bounds == [(0.0, 60.0), (60.0, 120.0), (120.0, 150.0)]
 
     def test_exact_length_single_clip(self):
         corpus = build_corpus(
             [CorpusItem("v", Modality.VIDEO, "caption", duration_s=60.0)], clip_len_s=60.0
         )
-        assert [(c.start_s, c.end_s) for c in corpus.clips] == [(0.0, 60.0)]
+        assert [(u.clip.start_s, u.clip.end_s) for u in corpus.units] == [(0.0, 60.0)]
 
     def test_no_videos_no_clips(self):
         corpus = build_corpus([CorpusItem("t", Modality.TEXT, "body")])
-        assert corpus.clips == []
-        assert len(corpus.units) == 1
+        assert [unit.clip for unit in corpus.units] == [None]
 
     def test_duplicate_id_rejected(self):
         items = [CorpusItem("x", Modality.TEXT, "a"), CorpusItem("x", Modality.TEXT, "b")]
@@ -73,16 +72,17 @@ class TestBuildCorpus:
 
     def test_every_row_is_its_items_embedding(self):
         corpus = build_corpus(self.MIXED_ITEMS, clip_len_s=60.0)
-        assert len(corpus.index) == len(self.MIXED_ITEMS)
-        for item, row in zip(self.MIXED_ITEMS, corpus.index):
-            assert row.tobytes() == embed(item.content).tobytes()
+        assert index_rows(corpus).tobytes() == item_vectors(corpus).tobytes()
 
     def test_units_share_their_items_row(self):
         corpus = build_corpus(self.MIXED_ITEMS, clip_len_s=60.0)
         assert len(corpus.units) == 3 + 1 + 4 + 1
         for unit in corpus.units:
-            expected = embed(self.MIXED_ITEMS[unit.item_pos].content)
-            assert corpus.index[unit.item_pos].tobytes() == expected.tobytes()
+            item = self.MIXED_ITEMS[unit.item_pos]
+            if item.modality is Modality.VIDEO:
+                assert unit.clip.source_id == item.id
+            else:
+                assert unit.clip is None
         # first_unit partitions the units, in item order
         assert corpus.first_unit == [0, 3, 4, 8, 9]
         for pos, (lo, hi) in enumerate(zip(corpus.first_unit, corpus.first_unit[1:])):
@@ -146,7 +146,7 @@ class TestSearch:
         ]
         corpus = build_corpus(items)
         # oracle: brute-force cosine over all three docs
-        vectors = [list(map(float, row)) for row in corpus.index]
+        vectors = [list(map(float, row)) for row in item_vectors(corpus)]
         query_vec = list(map(float, embed("photon entanglement")))
         oracle_order = pure_python_topk(vectors, query_vec, 3)
         results = search(corpus, "photon entanglement", 3)
@@ -167,8 +167,8 @@ class TestSearch:
 
     def test_empty_index(self):
         corpus = build_corpus([])
-        assert corpus.posting_start.tolist() == [0] * (corpus.embed_dim + 1)
-        assert corpus.posting_rows.size == corpus.posting_vals.size == 0
+        assert corpus.index.start.tolist() == [0] * (corpus.embed_dim + 1)
+        assert corpus.index.rows.size == corpus.index.vals.size == 0
         with pytest.raises(EmptyIndex):
             search(corpus, "anything", 1)
 
@@ -179,7 +179,7 @@ class TestSearch:
         assert [(obs.source_id, obs.clip_start_s) for obs in results] == [
             (
                 toy_corpus.items[u.item_pos].id,
-                None if u.clip_pos is None else toy_corpus.clips[u.clip_pos].start_s,
+                None if u.clip is None else u.clip.start_s,
             )
             for u in first
         ]
@@ -259,17 +259,31 @@ def per_unit_search(items, clip_len_s, dim, query, k, n_frames=8):
     return hit_records(hits, n_frames), len(units)
 
 
-def dense_search(corpus, query, k, n_frames=8):
-    """Search as it ran with a dense product: score every index row with
-    ``index @ q``, rank the items with a full stable argsort, and expand
-    each ranked item into its units."""
+def item_vectors(corpus):
+    """The dense index: each item's embedding, one row per item."""
+    return np.stack(
+        [embed(item.content, corpus.embed_dim, corpus.embed_seed) for item in corpus.items]
+    )
+
+
+def index_rows(corpus):
+    """The dense matrix that ``corpus.index`` holds as postings."""
+    index = corpus.index
+    dense = np.zeros((len(corpus.items), corpus.embed_dim))
+    dense[index.rows, np.repeat(np.arange(corpus.embed_dim), np.diff(index.start))] = index.vals
+    return dense
+
+
+def dense_search(corpus, index, query, k, n_frames=8):
+    """Search as it ran with a dense product: score every row of the dense
+    ``index`` with ``index @ q``, rank the items with a full stable argsort,
+    and expand each ranked item into its units."""
     query_vec = embed(query, corpus.embed_dim, corpus.embed_seed)
-    scores = np.round(corpus.index @ query_vec, 12)
+    scores = np.round(index @ query_vec, 12)
     hits = []
     for pos in np.argsort(-scores, kind="stable").tolist():
         for unit in corpus.units[corpus.first_unit[pos]:corpus.first_unit[pos + 1]]:
-            clip = None if unit.clip_pos is None else corpus.clips[unit.clip_pos]
-            hits.append((corpus.items[pos], clip, float(scores[pos])))
+            hits.append((corpus.items[pos], unit.clip, float(scores[pos])))
         if len(hits) >= k:
             break
     return hit_records(hits[:k], n_frames)
@@ -348,6 +362,7 @@ class TestPostings:
             for i in range(300)
         ]
         corpus = build_corpus(items, clip_len_s=60.0)
+        index = item_vectors(corpus)
         n_items = len(items)
         queries = [(" ".join(rng.choices(vocab, k=rng.randint(1, 8))), rng.randint(1, 100))
                    for _ in range(600)]
@@ -355,8 +370,8 @@ class TestPostings:
         seen = set()
         for query, k in queries:
             got = [obs.to_dict() for obs in search(corpus, query, k)]
-            assert canonical_dumps(got) == canonical_dumps(dense_search(corpus, query, k))
-            scores = np.sort(np.round(corpus.index @ embed(query), 12))[::-1]
+            assert canonical_dumps(got) == canonical_dumps(dense_search(corpus, index, query, k))
+            scores = np.sort(np.round(index @ embed(query), 12))[::-1]
             if k >= n_items:
                 seen.add("k at least the items")
             elif np.count_nonzero(scores == scores[k - 1]) > k - np.count_nonzero(
@@ -381,16 +396,17 @@ class TestPostings:
         path = tmp_path / "c.json"
         save_corpus(build_corpus(items, embed_dim=65536), path)
         corpus = load_corpus(path)
-        start = corpus.posting_start
-        assert start[-1] == np.count_nonzero(corpus.index)
+        index = item_vectors(corpus)
+        start = corpus.index.start
+        assert start[-1] == np.count_nonzero(index)
         assert start[-1] > start[32768] > 0
-        rows, buckets = corpus.posting_rows, np.repeat(np.arange(65536), np.diff(start))
+        rows, buckets = corpus.index.rows, np.repeat(np.arange(65536), np.diff(start))
         assert np.all((np.diff(buckets) > 0) | (np.diff(rows) > 0))
-        assert np.array_equal(corpus.index[rows, buckets], corpus.posting_vals)
+        assert np.array_equal(index[rows, buckets], corpus.index.vals)
         for item in items[:10]:
             query = " ".join(item.content.split()[:4])
             got = [obs.to_dict() for obs in search(corpus, query, 8)]
-            assert canonical_dumps(got) == canonical_dumps(dense_search(corpus, query, 8))
+            assert canonical_dumps(got) == canonical_dumps(dense_search(corpus, index, query, 8))
 
 
 class TestFrames:
@@ -480,7 +496,8 @@ class TestPersistence:
         reloaded = load_corpus(path1)
         save_corpus(reloaded, path2)
         assert path1.read_bytes() == path2.read_bytes()
-        assert np.array_equal(reloaded.index, toy_corpus.index)
+        for ours, theirs in zip(reloaded.index, toy_corpus.index, strict=True):
+            assert np.array_equal(ours, theirs)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -520,7 +537,8 @@ class TestPersistence:
         path.write_text(json.dumps({"schema": "corpus/1", "clip_len_s": 30, "embed_dim": 1,
                                     "embed_seed": 2**64 - 1, "items": []}), encoding="utf-8")
         corpus = load_corpus(path)
-        assert corpus.index.shape == (0, 1)
+        assert corpus.index.start.tolist() == [0, 0]
+        assert corpus.index.rows.size == corpus.index.vals.size == 0
         assert corpus.first_unit == [0]
 
 

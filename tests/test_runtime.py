@@ -504,6 +504,15 @@ class TestSessions:
         with pytest.raises(CorruptSession, match="disagrees with its graph"):
             load_trajectory(golden_with_meta(tmp_path, key, value))
 
+    @pytest.mark.parametrize("reward", [None, 0, 1])
+    def test_reward_null_0_or_1_accepted(self, tmp_path, reward):
+        assert load_trajectory(golden_with_meta(tmp_path, "reward", reward)).reward is reward
+
+    @pytest.mark.parametrize("reward", [True, 1.0, -1, [1]], ids=["true", "1.0", "-1", "list"])
+    def test_reward_of_another_type_or_value_rejected(self, tmp_path, reward):
+        with pytest.raises(CorruptSession, match="reward"):
+            load_trajectory(golden_with_meta(tmp_path, "reward", reward))
+
     @pytest.mark.parametrize("graph", [[], "x", 3], ids=["list", "string", "number"])
     def test_graph_not_an_object_rejected(self, tmp_path, graph):
         with pytest.raises(CorruptGraph, match="JSON object"):
