@@ -73,15 +73,61 @@ def read_text(path: str | Path, error: type["DomainError"]) -> str:
         raise error(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def json_escape(text: str) -> str:
+    """``text`` as it stands between the quotes of ``json.dumps(text)``:
+    ASCII, with quotes, backslashes, control and non-ASCII characters
+    escaped.  Each character is escaped on its own, so the escape of joined
+    texts is the join of their escapes."""
+    return json.dumps(text)[1:-1]
+
+
 def parse_json(text: str | bytes) -> Any:
     """``json.loads`` for input from outside the process.  Nesting too deep
     for the parser raises ``json.JSONDecodeError``, as any other malformed
     JSON does, not ``RecursionError``, so the caller's handler for bad JSON
-    turns it into the caller's typed error."""
+    turns it into the caller's typed error.  So does a lone UTF-16
+    surrogate, escaped or raw (bytes are decoded as ``json.loads`` decodes
+    them, surrogates passed): no output file could hold it as UTF-8."""
+    if isinstance(text, bytes):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", "", 0) from None
+    if not text.isascii() or _SURROGATE_ESCAPE_RE.search(text):
+        _reject_lone_surrogates(text)
+    return value
+
+
+# the start of the escape of a UTF-16 surrogate, \uD800 to \uDFFF
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_LOW_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][c-fC-F]")
+
+
+def _reject_lone_surrogates(text: str) -> None:
+    """Raise ``json.JSONDecodeError`` at the first lone surrogate in ``text``,
+    which ``json.loads`` has accepted.  A high surrogate escape followed at
+    once by a low one is one character; any raw surrogate is lone, since
+    ``json.loads`` leaves it as it is."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise json.JSONDecodeError("lone UTF-16 surrogate", text, exc.start) from None
+    pair_end = -1
+    for match in _SURROGATE_ESCAPE_RE.finditer(text):
+        start = match.start()
+        if start == pair_end:
+            continue
+        before = start
+        while before and text[before - 1] == "\\":
+            before -= 1
+        if (start - before) % 2:
+            continue  # an escaped backslash, then the letter u
+        if text[start + 3] in "89abAB" and _LOW_SURROGATE_ESCAPE_RE.match(text, start + 6):
+            pair_end = start + 6
+            continue
+        raise json.JSONDecodeError("lone UTF-16 surrogate", text, start)
 
 
 def read_json(path: str | Path, error: type["DomainError"]) -> Any:

@@ -57,6 +57,10 @@ class BadInputFile(DomainError):
     code = "BadInputFile"
 
 
+class BadArgument(DomainError):
+    code = "BadArgument"
+
+
 def _report(exc: DomainError | OSError, where: str = "") -> None:
     """One typed line on stderr for a failure that ends a command or an
     episode: a domain error names its code, an OS error its class."""
@@ -181,6 +185,15 @@ def _read_gold_manifest(path: str) -> dict[str, list[str]]:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.queries is not None and (args.out is not None or args.gold is not None):
         args.usage_error("--out and --gold go with --query; --queries files carry their own gold")
+    for flag, value in (("--query", args.query), ("--gold", args.gold)):
+        # argv holds bytes that are not UTF-8 as lone surrogates, which no
+        # output file could hold
+        try:
+            (value or "").encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise BadArgument(
+                f"{flag} is not UTF-8 text: {exc.reason} at offset {exc.start}"
+            ) from None
     config = _apply_overrides(load_config(args.config), args.set or [])
     out_dir = Path(args.out_dir or config.output_dir)
     if args.query is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .canon import Record
@@ -150,12 +149,8 @@ def normalize_priority(priority: int) -> float:
     return (priority - 1) / 4.0
 
 
-def _intrinsic(item: VisualItem, age: int, out_degree: int, params: EnergyParams) -> float:
-    return (
-        normalize_priority(item.priority)
-        * (1 + out_degree)
-        * math.exp(-params.lambda_decay * age)
-    )
+# normalize_priority of each priority score, looked up per item while scoring
+_PRIORITY_WEIGHT = {priority: normalize_priority(priority) for priority in range(1, 6)}
 
 
 def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport:
@@ -168,6 +163,11 @@ def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport
     items contributes a mean of 0.  Items evicted by an earlier top-K pass
     keep their scores (the saliency gate is the only hard exclusion); this
     keeps repeated shaping at one step stable.
+
+    An item's intrinsic value is ``normalize_priority(priority) *
+    (1 + out_degree) * exp(-lambda_decay * age)``, multiplied in that order;
+    the last two factors are the same for every item of a node, so they are
+    computed once per node.
     """
     children: list[list[int]] = [[] for _ in graph.nodes]
     for node in graph.nodes:
@@ -186,11 +186,11 @@ def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport
         feedback = params.gamma_feedback * sum(
             node_mean[child] for child in children[node.index]
         )
-        out_degree = len(children[node.index])
-        age = graph.step - node.created_step
+        factor = 1 + len(children[node.index])
+        decay = math.exp(-params.lambda_decay * (graph.step - node.created_step))
         omegas = []
         for item in sorted(by_owner.get(node.index, []), key=lambda it: it.slot):
-            base = _intrinsic(item, age, out_degree, params)
+            base = _PRIORITY_WEIGHT[item.priority] * factor * decay
             omega = base + feedback
             intrinsic[item.ordinal] = base
             total[item.ordinal] = omega
@@ -221,20 +221,25 @@ def allocate_budget(
     """Split the total token budget over the retained items, floored:
     b = floor(s_total * omega / sum(omega)).
 
-    Exact rational arithmetic guarantees the floor never over-allocates.
+    The scores are non-negative floats, whose denominators are powers of
+    two, so scaled to the largest denominator they are exact integers, and
+    the floor is taken in integer arithmetic: it never over-allocates.
     Uniform mode, and the degenerate all-zero-score case, split evenly.
     """
     retained = tuple(retained)
     if not retained:
         return BudgetAssignment((), {}, params.s_total, report.evaluation_step)
-    weight_sum = sum(Fraction(report.total[ordinal]) for ordinal in retained)
+    ratios = [report.total[ordinal].as_integer_ratio() for ordinal in retained]
+    denominator = max(d for _, d in ratios)
+    weights = [n * (denominator // d) for n, d in ratios]
+    weight_sum = sum(weights)
     if params.uniform_mode or weight_sum <= 0:
         share = params.s_total // len(retained)
         budgets = {ordinal: share for ordinal in retained}
     else:
         budgets = {
-            ordinal: int(Fraction(params.s_total) * Fraction(report.total[ordinal]) / weight_sum)
-            for ordinal in retained
+            ordinal: params.s_total * weight // weight_sum
+            for ordinal, weight in zip(retained, weights)
         }
     slack = params.s_total - sum(budgets.values())
     return BudgetAssignment(retained, budgets, slack, report.evaluation_step)

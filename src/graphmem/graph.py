@@ -15,14 +15,14 @@ from enum import Enum
 from operator import is_
 from typing import Iterable, Sequence
 
-from .canon import Record, canonical_dumps, normalize_text
+from .canon import Record, canonical_dumps, json_escape, normalize_text
 from .energy import VisualItem
 from .errors import DomainError
 
 GRAPH_SCHEMA = "memory-graph/1"
 ROOT_TITLE = "root"
 # linearize's cache entry for a node position it has not rendered yet
-_NO_LINE = (None, (), "", "", (), "")
+_NO_LINE = (None, (), "", "", (), "", "")
 
 
 class GraphError(DomainError):
@@ -105,12 +105,16 @@ class MemoryGraph:
     step: int = 0
     # linearize's reusable output, holding the records it was rendered from:
     # node position -> (node, parent nodes, text before the item fragments,
-    # text after them, items, line), and bank position -> (item, fragment)
+    # text after them, items, line, the line JSON-escaped), bank position ->
+    # (item, fragment), and its last text with the JSON escapes of its lines
     _node_lines: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _item_lines: dict[int, tuple[VisualItem, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    _escaped: tuple[str | None, Sequence[str]] = field(
+        default=(None, ()), init=False, repr=False, compare=False
     )
 
     # -- reads ------------------------------------------------------------
@@ -180,26 +184,26 @@ class MemoryGraph:
         otherwise it is assembled from the node's own fields and the item
         fragments, equal byte for byte to the canonical dump of its whole
         record.  Shaping replaces only the live top-K items and eviction is
-        permanent, so most nodes of a deep graph stop changing.
+        permanent, so most nodes of a deep graph stop changing.  Each line
+        is JSON-escaped when it is assembled, for :meth:`escaped_text`.
         """
-        lines = [
-            canonical_dumps(
-                {
-                    "bank": len(self.memory_bank),
-                    "nodes": len(self.nodes),
-                    "root_query": self.root_query,
-                    "schema": GRAPH_SCHEMA,
-                    "step": self.step,
-                }
-            )
-        ]
+        header = canonical_dumps(
+            {
+                "bank": len(self.memory_bank),
+                "nodes": len(self.nodes),
+                "root_query": self.root_query,
+                "schema": GRAPH_SCHEMA,
+                "step": self.step,
+            }
+        )
+        lines, escaped = [header], [json_escape(header)]
         nodes, bank = self.nodes, self.memory_bank
         node_lines, item_lines = self._node_lines, self._item_lines
         for position, node in enumerate(nodes):
             parents = [nodes[p] for p in sorted(node.parent_indices)]
             items = [bank[k] for k in node.items] if node.kind is NodeKind.SEARCH else []
-            cached, cached_parents, head, tail, cached_items, line = node_lines.get(
-                position, _NO_LINE
+            cached, cached_parents, head, tail, cached_items, line, escaped_line = (
+                node_lines.get(position, _NO_LINE)
             )
             # pairwise checks suffice: the same node has as many parents and
             # items as when it was cached
@@ -214,9 +218,21 @@ class MemoryGraph:
                         entry = item_lines[k] = (item, canonical_dumps(_item_record(item)))
                     fragments.append(entry[1])
                 line = head + ",".join(fragments) + tail
-                node_lines[position] = (node, parents, head, tail, items, line)
+                escaped_line = json_escape(line)
+                node_lines[position] = (node, parents, head, tail, items, line, escaped_line)
             lines.append(line)
-        return "\n".join(lines) + "\n"
+            escaped.append(escaped_line)
+        text = "\n".join(lines) + "\n"
+        self._escaped = (text, escaped)
+        return text
+
+    def escaped_text(self, text: str) -> str:
+        """``json_escape(text)``.  For the text :meth:`linearize` returned
+        last, it is joined from the lines escaped there."""
+        last, escaped_lines = self._escaped
+        if last is not text:
+            return json_escape(text)
+        return "\\n".join(escaped_lines) + "\\n"
 
     # -- mutations (single writer) ----------------------------------------
 

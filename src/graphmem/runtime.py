@@ -28,6 +28,7 @@ from urllib.parse import urlsplit
 from .canon import (
     Record,
     canonical_dumps,
+    json_escape,
     normalize_text,
     parse_json,
     read_json,
@@ -132,17 +133,6 @@ class ScriptedPolicy(Policy):
         return response
 
 
-def bundle_messages(
-    bundle: PromptBundle, followup: Sequence[tuple[str, str]] = ()
-) -> list[dict]:
-    messages = [
-        {"role": "system", "content": bundle.instruction},
-        {"role": "user", "content": bundle.user_text()},
-    ]
-    messages.extend({"role": role, "content": content} for role, content in followup)
-    return messages
-
-
 # How a kept-alive connection that the server closed while idle fails before
 # any reply byte arrives; only these are retried, once, on a fresh connection.
 _STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
@@ -183,9 +173,18 @@ class ChatCompletionsClient:
             http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
         )
 
-    def complete(self, messages: list[dict]) -> str:
-        payload = {"model": self.model, "messages": messages}
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    def complete(self, messages: Sequence[tuple[str, str]]) -> str:
+        """Send one conversation and return the reply's content.  Each
+        message is a (role, content) pair whose content is already
+        JSON-escaped (:func:`json_escape`), so a long prompt is escaped once,
+        not on every call.  The body is joined from the escaped pieces; its
+        bytes are those of ``json.dumps({"model": model, "messages":
+        [{"role": role, "content": content}, ...]}, allow_nan=False)``."""
+        turns = ", ".join(
+            f'{{"role": "{json_escape(role)}", "content": "{content}"}}'
+            for role, content in messages
+        )
+        body = f'{{"model": "{json_escape(self.model)}", "messages": [{turns}]}}'.encode()
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.token_env, "")
         if token:
@@ -244,7 +243,12 @@ class RemotePolicy(Policy):
         self.client = client
 
     def act(self, bundle: PromptBundle, followup: Sequence[tuple[str, str]] = ()) -> str:
-        return self.client.complete(bundle_messages(bundle, followup))
+        messages = [
+            ("system", json_escape(bundle.instruction)),
+            ("user", bundle.escaped_user_text()),
+        ]
+        messages.extend((role, json_escape(content)) for role, content in followup)
+        return self.client.complete(messages)
 
 
 # -- judging ----------------------------------------------------------------
@@ -283,13 +287,10 @@ class RemoteJudge:
 
     def judge(self, query: str, gold: str, answer: str) -> int:
         messages = [
-            {"role": "system", "content": JUDGE_SYSTEM_PROMPT},
-            {
-                "role": "user",
-                "content": (
-                    f"Query: {query}\nReference Answer: {gold}\nGenerated Answer: {answer}"
-                ),
-            },
+            ("system", json_escape(JUDGE_SYSTEM_PROMPT)),
+            ("user", json_escape(
+                f"Query: {query}\nReference Answer: {gold}\nGenerated Answer: {answer}"
+            )),
         ]
         try:
             content = self.client.complete(messages)

@@ -15,9 +15,16 @@ import socket
 import struct
 import threading
 from collections import defaultdict
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from graphmem.energy import EnergyParams, ItemModality, VisualItem
+from graphmem.energy import (
+    EnergyParams,
+    EnergyReport,
+    ItemModality,
+    VisualItem,
+    normalize_priority,
+)
 from graphmem.graph import MemoryGraph, NodeKind, new_graph
 from graphmem.protocol import (
     Answer,
@@ -82,6 +89,56 @@ def naive_intrinsic(graph: MemoryGraph, params: EnergyParams) -> dict[int, float
             * math.exp(-params.lambda_decay * (graph.step - owner.created_step))
         )
     return out
+
+
+# -- bit-exact references for the scoring arithmetic -------------------------------
+
+
+def fraction_budgets(retained, report: EnergyReport, params: EnergyParams) -> dict[int, int]:
+    """The budget split in exact rational arithmetic: each item gets
+    int(s_total * w / sum(w)) over Fractions, or an even share in uniform
+    mode and when the weights sum to 0 or less."""
+    weight_sum = sum(Fraction(report.total[ordinal]) for ordinal in retained)
+    if params.uniform_mode or weight_sum <= 0:
+        return {ordinal: params.s_total // len(retained) for ordinal in retained}
+    return {
+        ordinal: int(Fraction(params.s_total) * Fraction(report.total[ordinal]) / weight_sum)
+        for ordinal in retained
+    }
+
+
+def per_item_energy(
+    graph: MemoryGraph, params: EnergyParams
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Intrinsic and reinforced scores with every float operation in the
+    order of the per-item formulation: nodes bottom-up, each node's items
+    in slot order, and for each item normalize_priority(p) * (1 +
+    out_degree) * exp(-lambda * age), with the decay computed per item."""
+    children: dict[int, list[int]] = defaultdict(list)
+    for node in graph.nodes:
+        for parent in node.parent_indices:
+            children[parent].append(node.index)
+    intrinsic: dict[int, float] = {}
+    total: dict[int, float] = {}
+    node_mean: dict[int, float] = {}
+    for node in reversed(graph.nodes):
+        feedback = params.gamma_feedback * sum(node_mean[c] for c in children[node.index])
+        owned = sorted(
+            (it for it in graph.memory_bank if it.owner_node == node.index and it.saliency == 1),
+            key=lambda it: it.slot,
+        )
+        omegas = []
+        for item in owned:
+            base = (
+                normalize_priority(item.priority)
+                * (1 + len(children[node.index]))
+                * math.exp(-params.lambda_decay * (graph.step - node.created_step))
+            )
+            intrinsic[item.ordinal] = base
+            total[item.ordinal] = base + feedback
+            omegas.append(base + feedback)
+        node_mean[node.index] = sum(omegas) / len(omegas) if omegas else 0.0
+    return intrinsic, total
 
 
 # -- reachability oracle -------------------------------------------------------
@@ -236,6 +293,25 @@ def random_text(rng: random.Random, *, empty_ok: bool) -> str:
     return text
 
 
+# characters that JSON escapes, or that are awkward to escape: controls,
+# DEL, non-ASCII, astral characters and lone surrogates of both halves
+ESCAPE_NASTY = [
+    '"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "/", "é", "中文",
+    "\U0001f600", "\ud800", "\udfff", "\ud83d", "\ude00", "\\u", "\\ud800",
+]
+
+
+def escape_text(rng: random.Random) -> str:
+    """A non-empty random text mixing plain words with ``ESCAPE_NASTY``."""
+    parts = ["x"]
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.5:
+            parts.append(rng.choice(ESCAPE_NASTY))
+        else:
+            parts.append("".join(rng.choice("abc XYZ09") for _ in range(rng.randint(1, 6))))
+    return "".join(parts)
+
+
 def random_response(rng: random.Random) -> str:
     return serialize_action(random_action(rng), random_text(rng, empty_ok=True))
 
@@ -301,9 +377,10 @@ class _ThreadedServer:
 
 class StubChatServer(_ThreadedServer):
     """Local chat-completions endpoint replaying canned contents in order;
-    records every request payload and auth header."""
+    records every request body, its parsed payload and its auth header."""
 
     def __init__(self, contents: list[str]):
+        self.bodies: list[bytes] = []
         self.requests: list[dict] = []
         self.auth_headers: list[str | None] = []
         contents_iter = iter(contents)
@@ -315,8 +392,9 @@ class StubChatServer(_ThreadedServer):
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
-                payload = json.loads(self.rfile.read(length).decode("utf-8"))
-                outer.requests.append(payload)
+                body = self.rfile.read(length)
+                outer.bodies.append(body)
+                outer.requests.append(json.loads(body.decode("utf-8")))
                 outer.auth_headers.append(self.headers.get("Authorization"))
                 if self.path != "/chat/completions":
                     self.send_response(404)

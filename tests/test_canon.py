@@ -1,10 +1,49 @@
+import json
 import os
 from dataclasses import dataclass
 
 import pytest
 
-from graphmem.canon import Record, write_text_atomic
+from graphmem.canon import Record, json_escape, parse_json, write_text_atomic
 from graphmem.graph import NodeKind
+
+
+class TestParseJson:
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ('"x\\ud800y"', 2),  # a high half, escaped
+            ('["ok", "\\uDFFF"]', 8),  # a low half, escaped
+            ('{"\\ud800": 1}', 2),  # in a key
+            ('"\\ude00\\ud83d"', 1),  # the halves of a pair, in the wrong order
+            ('"\\ud83d\\\\ude00"', 1),  # a high half, then an escaped backslash
+            ('"x\ud800"', 2),  # raw
+            ('"\ud83d\ude00"', 1),  # a raw pair stays two code points
+        ],
+    )
+    def test_lone_surrogate_is_a_decode_error(self, text, position):
+        for given in (text, text.encode("utf-8", "surrogatepass")):
+            with pytest.raises(json.JSONDecodeError, match="lone UTF-16 surrogate") as excinfo:
+                parse_json(given)
+            assert excinfo.value.pos == position
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ('"\\ud83d\\ude00"', "\U0001f600"),
+            ('"\\uD83D\\uDE00 \\u00e9"', "\U0001f600 \u00e9"),
+            ('"\\\\ud800"', "\\ud800"),  # an escaped backslash, then text
+            ('"\U0001f600 \u00e9"', "\U0001f600 \u00e9"),
+        ],
+    )
+    def test_valid_text_parses(self, text, value):
+        assert parse_json(text) == value
+        assert parse_json(text.encode("utf-8")) == value
+
+    def test_json_escape_is_json_dumps_without_quotes(self):
+        text = '"\\\n\x00\x7f/\u00e9\U0001f600\ud800'
+        assert json_escape(text) == json.dumps(text)[1:-1]
+        assert json_escape(text[:4]) + json_escape(text[4:]) == json_escape(text)
 
 
 class TestWriteTextAtomic:

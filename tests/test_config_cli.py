@@ -778,6 +778,106 @@ def test_deeply_nested_input_is_typed_error(tmp_path, capsys, case):
     assert err.count("\n") == 1
 
 
+def _remote_reply_run(tmp, base_url: str) -> list[str]:
+    config = write_demo_config(
+        tmp, policy_mode="remote", policy_base_url=base_url, policy_model="m",
+        policy_timeout_s=5,
+    )
+    return ["run", "--config", str(config), "--query", DEMO_QUERY]
+
+
+def _surrogate_script() -> list[str]:
+    """The demo script with a lone surrogate in its first reply's thinking,
+    which a parsed reply keeps and the trajectory would hold."""
+    script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
+    script[0] = script[0].replace("The question", "The \ud800 question")
+    return script
+
+
+def _surrogate_reply(raw: bool):
+    """Chat replies of the surrogate script, the lone surrogate escaped in
+    the body or written raw (as UTF-8 with surrogates passed)."""
+    script = _surrogate_script()
+
+    def respond(n: int):
+        body = chat_reply(script[n % len(script)])
+        if raw:
+            body = body.replace(b"\\ud800", "\ud800".encode("utf-8", "surrogatepass"))
+        return 200, body
+
+    return respond
+
+
+def _bad_tool_call() -> str:
+    """The demo's first reply with a lone surrogate escaped in its tool call."""
+    first = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))[0]
+    return first.replace("director-search", "director\\ud800")
+
+
+# Each input holds a lone UTF-16 surrogate, which no output file could hold;
+# the third entry answers chat calls, where the input is a remote reply.
+SURROGATE_INPUTS = {
+    "manifest content": (
+        lambda tmp, url: _build_from_manifest(tmp, json.dumps({
+            "schema": "corpus-manifest/1",
+            "items": [{"id": "d", "modality": "text", "content": "x\ud800y"}],
+        })),
+        "BadManifest", None,
+    ),
+    "scripted reply": (
+        lambda tmp, url: _run_with(
+            tmp, policy_script=_write(tmp / "s.json", json.dumps(_surrogate_script()))
+        ),
+        "PolicyProtocolError", None,
+    ),
+    "scripted tool call": (
+        lambda tmp, url: _run_with(
+            tmp, policy_script=_write(tmp / "s.json", json.dumps([_bad_tool_call()] * 2))
+        ),
+        "PolicyProtocolError", None,
+    ),
+    "queries file": (
+        lambda tmp, url: _run_batch(tmp, json.dumps({"query": "q\udfff"}) + "\n"),
+        "BadInputFile", None,
+    ),
+    "query byte": (
+        # argv holds the byte 0xff, not UTF-8, as the lone surrogate U+DCFF
+        lambda tmp, url: _run_with(tmp)[:-1] + ["Who directed \udcff Solaris Dawn?"],
+        "BadArgument", None,
+    ),
+    "gold byte": (
+        lambda tmp, url: _run_with(tmp) + ["--gold", "Mira \udcff Chen"],
+        "BadArgument", None,
+    ),
+    "remote reply escaped": (_remote_reply_run, "PolicyProtocolError", _surrogate_reply(False)),
+    "remote reply raw": (_remote_reply_run, "PolicyProtocolError", _surrogate_reply(True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURROGATE_INPUTS))
+def test_lone_surrogate_input_is_one_typed_line(tmp_path, case):
+    argv_for, code, respond = SURROGATE_INPUTS[case]
+    root = Path(__file__).parent.parent
+
+    def run(base_url: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "graphmem.cli", *argv_for(tmp_path, base_url)],
+            capture_output=True, text=True, errors="backslashreplace", timeout=60,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+
+    if respond is None:
+        result = run("")
+    else:
+        with KeepAliveStub(respond) as stub:
+            result = run(stub.base_url)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error [{code}]: ")
+    assert not list(tmp_path.rglob("trajectory*.jsonl"))
+
+
 def test_make_goldens_reproduces_the_committed_files(tmp_path):
     """scripts/make_goldens.py, run on a copy of tests/ without its goldens,
     writes every golden and fixture byte for byte as committed."""

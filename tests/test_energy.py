@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphmem.energy import (
     BadPriority,
     EnergyParams,
+    EnergyReport,
     ItemModality,
     S_TOTAL_DEFAULT,
     VisualItem,
@@ -20,7 +21,13 @@ from graphmem.energy import (
     shape_memory,
 )
 from graphmem.graph import CorruptGraph, new_graph
-from helpers import naive_intrinsic, naive_omega, random_graph_with_items
+from helpers import (
+    fraction_budgets,
+    naive_intrinsic,
+    naive_omega,
+    per_item_energy,
+    random_graph_with_items,
+)
 
 
 def chain_graph():
@@ -277,6 +284,58 @@ class TestAllocation:
             for b in retained:
                 if report.total[a] >= report.total[b]:
                     assert assignment.budgets[a] >= assignment.budgets[b]
+
+
+def _random_weight(rng: random.Random) -> float:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0.0
+    if kind == 1:  # subnormal
+        return math.ldexp(rng.random(), -1074 + rng.randint(0, 40))
+    if kind == 2:  # near the top of the float range
+        return rng.uniform(0.5, 1.7) * 1e300
+    if kind == 3:  # tiny but normal
+        return math.ldexp(rng.random(), -rng.randint(30, 1000))
+    return rng.uniform(0.0, 10.0)
+
+
+class TestExactArithmetic:
+    """The integer budget split and the per-node scoring give the same
+    numbers, compared with ``==``, as exact rational arithmetic and as
+    scoring each item on its own."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_budget_split_equals_fraction_arithmetic(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            n = rng.randint(1, 24)
+            weights = {ordinal: _random_weight(rng) for ordinal in range(n)}
+            if rng.random() < 0.05:
+                weights = dict.fromkeys(weights, 0.0)
+            report = EnergyReport({}, weights, {}, 0)
+            params = EnergyParams(
+                s_total=rng.choice([1, 7, 1000, S_TOTAL_DEFAULT, rng.randint(1, 10**15)]),
+                uniform_mode=rng.random() < 0.1,
+            )
+            retained = rng.sample(range(n), rng.randint(1, n))
+            assignment = allocate_budget(retained, report, params)
+            expected = fraction_budgets(retained, report, params)
+            assert assignment.budgets == expected
+            assert all(type(budget) is int for budget in assignment.budgets.values())
+            assert assignment.slack == params.s_total - sum(expected.values())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scores_equal_per_item_arithmetic(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            g = random_graph_with_items(rng, max_nodes=20, max_items_per_node=4)
+            params = EnergyParams(
+                lambda_decay=rng.uniform(0.0, 1.0), gamma_feedback=rng.uniform(0.0, 1.0)
+            )
+            report = recursive_energy(g, params)
+            intrinsic, total = per_item_energy(g, params)
+            assert report.intrinsic == intrinsic
+            assert report.total == total
 
 
 class TestShaping:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmem.canon import canonical_dumps
+from graphmem.canon import canonical_dumps, json_escape
 from graphmem.energy import (
     EnergyParams,
     ItemModality,
@@ -30,7 +30,7 @@ from graphmem.graph import (
     UnknownParent,
     new_graph,
 )
-from helpers import forward_reachability_path, random_graph_with_items
+from helpers import escape_text, forward_reachability_path, random_graph_with_items
 
 
 def own_item(g, index):
@@ -443,6 +443,60 @@ class TestLinearize:
                     bank[k] = dataclasses.replace(bank[k], allocated_budget=rng.randint(0, 5))
             for graph in (g, previous) if previous is not None else (g,):
                 assert graph.linearize() == MemoryGraph.from_dict(graph.to_dict()).linearize()
+
+
+class TestEscapedLinearization:
+    """``escaped_text`` of what ``linearize`` returned is its JSON escape,
+    whichever lines were reused, for graphs grown, shaped and evicted in
+    place and for graphs loaded from a record."""
+
+    @staticmethod
+    def check(g: MemoryGraph) -> str:
+        text = g.linearize()
+        assert g.escaped_text(text) == json.dumps(text)[1:-1]
+        return text
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_escape_follows_every_rebuilt_line(self, seed):
+        rng = random.Random(seed)
+        g = new_graph(escape_text(rng))
+        params = EnergyParams(top_k=rng.randint(1, 3), s_total=rng.choice([7, 1000, 10**6]))
+        self.check(g)
+        for cycle in range(rng.randint(1, 15)):
+            parents = rng.sample(g.nodes, rng.randint(1, min(3, len(g.nodes))))
+            g.add_search_node(
+                f"{escape_text(rng)} {cycle}", {n.title for n in parents}, escape_text(rng)
+            )
+            self.check(g)
+            owner = len(g.nodes) - 1
+            items = [
+                VisualItem(
+                    len(g.memory_bank) + slot, owner, slot, rng.choice(list(ItemModality)),
+                    escape_text(rng), saliency=rng.choice([0, 1, 1]),
+                    priority=rng.randint(1, 5),
+                    source_timestamp_s=rng.choice([None, 0.5, 12.0, 7.123456]),
+                )
+                for slot in range(rng.randint(0, 4))
+            ]
+            g.memorize(escape_text(rng), items)
+            self.check(g)
+            shape_memory(g, params)  # new budgets, and evictions
+            self.check(g)
+        loaded = MemoryGraph.from_dict(json.loads(canonical_dumps(g.to_dict())))
+        assert self.check(loaded) == self.check(g)
+        loaded.add_search_node("after load", {"root"}, escape_text(rng))
+        shape_memory(loaded, params)
+        self.check(loaded)
+
+    def test_other_texts_are_escaped_afresh(self):
+        g = build_demo_graph()
+        first = g.linearize()
+        shape_memory(g, EnergyParams(top_k=1))
+        second = g.linearize()
+        assert first != second
+        assert g.escaped_text(first) == json_escape(first)
+        assert g.escaped_text(second) == json_escape(second)
+        assert g.escaped_text("x\ud800\n") == json_escape("x\ud800\n")
 
 
 def random_item(rng, ordinal, owner, slot):

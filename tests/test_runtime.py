@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import threading
 import time
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from graphmem.canon import canonical_dumps
+from graphmem.canon import canonical_dumps, json_escape
 from graphmem.config import load_config
 from graphmem.energy import EnergyParams, shape_memory
 from graphmem.graph import (
@@ -18,9 +19,11 @@ from graphmem.graph import (
     new_graph,
 )
 from graphmem.protocol import (
+    FORMAT_REMINDER,
     Answer,
     Memorize,
     MemorizeDecision,
+    PromptBundle,
     Retrieve,
     SchemaViolation,
     parse_response,
@@ -33,6 +36,7 @@ from graphmem.runtime import (
     EpisodeConfig,
     ExactMatchJudge,
     IllegalTransition,
+    JUDGE_SYSTEM_PROMPT,
     JudgeError,
     PolicyProtocolError,
     PolicyUnreachable,
@@ -46,7 +50,7 @@ from graphmem.runtime import (
     run_episode,
     save_trajectory,
 )
-from helpers import KeepAliveStub, StubChatServer, chat_reply
+from helpers import KeepAliveStub, StubChatServer, chat_reply, escape_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -361,8 +365,84 @@ class TestRemotePolicy:
         assert remote.to_jsonl() == scripted.to_jsonl()
 
 
+def reference_body(model: str, messages: list[tuple[str, str]]) -> bytes:
+    """The request body as ``json.dumps`` writes it, from raw contents."""
+    payload = {
+        "model": model,
+        "messages": [{"role": role, "content": content} for role, content in messages],
+    }
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
+class ReferencePolicy(RemotePolicy):
+    """A remote policy that also keeps, for each call, the body
+    ``json.dumps`` would write for the conversation it sends."""
+
+    def __init__(self, client: ChatCompletionsClient):
+        super().__init__(client)
+        self.expected: list[bytes] = []
+
+    def act(self, bundle, followup=()):
+        messages = [("system", bundle.instruction), ("user", bundle.user_text()), *followup]
+        self.expected.append(reference_body(self.client.model, messages))
+        return super().act(bundle, followup)
+
+
+class TestRequestBody:
+    """Bodies joined from escaped pieces are byte for byte what
+    ``json.dumps`` makes of the same conversation."""
+
+    def test_retrieve_memorize_and_retry_turns(self, toy_corpus):
+        script = demo_script()
+        # an unparseable reply before the first retrieve and before the
+        # first memorize, each answered with a format retry
+        script = ["garbage"] + script[:1] + ["<tool_call>{</tool_call>"] + script[1:]
+        with StubChatServer(script) as stub:
+            policy = ReferencePolicy(ChatCompletionsClient(stub.base_url, "test-model"))
+            trajectory = run_episode(policy, toy_corpus, DEMO_QUERY, demo_config())
+        assert trajectory.answer_text == "Mira Chen, 2019"
+        assert len(stub.bodies) == len(script)
+        assert stub.bodies == policy.expected
+        retry = stub.requests[1]["messages"]
+        assert [m["role"] for m in retry] == ["system", "user", "assistant", "user"]
+        assert retry[3]["content"] == FORMAT_REMINDER
+
+    def test_fuzzed_policy_and_judge_calls(self):
+        rng = random.Random(20)
+        cases = 60
+        with StubChatServer(["<judge>True</judge>"] * (2 * cases)) as stub:
+            expected = []
+            for _ in range(cases):
+                client = ChatCompletionsClient(stub.base_url, escape_text(rng))
+                context = "\n".join(escape_text(rng) for _ in range(rng.randint(0, 3)))
+                context += "\n" * rng.randint(0, 2)
+                attachments = tuple(
+                    (k, rng.randint(0, 99), escape_text(rng)) for k in range(rng.randint(0, 2))
+                )
+                bundle = PromptBundle(
+                    escape_text(rng), escape_text(rng), context, attachments,
+                    escaped_context=rng.choice([None, json_escape(context)]),
+                )
+                followup = [
+                    (rng.choice(["assistant", "user"]), escape_text(rng))
+                    for _ in range(rng.choice([0, 2, 4]))
+                ]
+                RemotePolicy(client).act(bundle, followup)
+                expected.append(reference_body(client.model, [
+                    ("system", bundle.instruction), ("user", bundle.user_text()), *followup,
+                ]))
+                query, gold, answer = (escape_text(rng) for _ in range(3))
+                assert RemoteJudge(client).judge(query, gold, answer) == 1
+                graded = f"Query: {query}\nReference Answer: {gold}\nGenerated Answer: {answer}"
+                expected.append(reference_body(
+                    client.model, [("system", JUDGE_SYSTEM_PROMPT), ("user", graded)]
+                ))
+                client.close()
+        assert stub.bodies == expected
+
+
 class TestChatCompletionsClient:
-    MESSAGES = [{"role": "user", "content": "hi"}]
+    MESSAGES = [("user", "hi")]
 
     @pytest.fixture
     def connect(self):
