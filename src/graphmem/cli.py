@@ -109,7 +109,7 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
     corpus = build_corpus(items, clip_len_s=args.clip_len)
     save_corpus(corpus, args.out)
     counts = Counter(item.modality for item in corpus.items)
-    clips = sum(unit.clip is not None for unit in corpus.units)
+    clips = sum(unit is not None for unit in corpus.units)
     print(
         f"{counts[Modality.TEXT]} texts, {counts[Modality.IMAGE]} images, "
         f"{counts[Modality.VIDEO]} videos, {clips} clips indexed "
@@ -141,9 +141,9 @@ def _apply_overrides(config: Config, overrides: list[str]) -> Config:
 def _read_queries(path: str) -> list[dict]:
     """Batch mode input: one JSON object per line with a "query" string and
     an optional "gold" string.  Every line is checked before any episode
-    starts."""
+    starts.  A line ends only at "\\n", as in every JSONL file."""
     entries = []
-    for number, line in enumerate(read_text(path, BadInputFile).splitlines(), 1):
+    for number, line in enumerate(read_text(path, BadInputFile).split("\n"), 1):
         if not line.strip():
             continue
         try:

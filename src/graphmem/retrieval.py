@@ -102,22 +102,6 @@ class CorpusItem(Record, optional=("asset_ref",)):
             raise ValueError(f"non-video {self.id!r} must not carry a duration")
 
 
-@dataclass(frozen=True)
-class Clip:
-    source_id: str
-    start_s: float
-    end_s: float
-
-
-@dataclass(frozen=True)
-class SearchUnit:
-    """One search hit: a text doc, an image, or a video clip.  It scores as
-    its item, so the clips of a video tie."""
-
-    item_pos: int
-    clip: Clip | None = None  # set for video clips
-
-
 class Postings(NamedTuple):
     """The item embeddings by bucket: ``rows[start[j]:start[j + 1]]`` are
     the items non-zero in bucket ``j``, ascending, and ``vals`` holds their
@@ -134,12 +118,14 @@ class Postings(NamedTuple):
 
 @dataclass
 class Corpus:
-    """Item ``i`` owns ``units[first_unit[i]:first_unit[i + 1]]``; the last
-    entry of ``first_unit`` is ``len(units)``.  ``index`` holds one
-    embedding per item, so the clips of a video share it."""
+    """One entry of ``units`` per search hit, in item order: a video clip's
+    ``(start_s, end_s)``, or ``None`` for a text doc or an image.  Item ``i``
+    owns ``units[first_unit[i]:first_unit[i + 1]]``; the last entry of
+    ``first_unit`` is ``len(units)``.  ``index`` holds one embedding per
+    item, so the clips of a video share it and tie."""
 
     items: list[CorpusItem]
-    units: list[SearchUnit]
+    units: list[tuple[float, float] | None]
     first_unit: list[int]
     index: Postings
     embed_dim: int
@@ -224,7 +210,7 @@ def build_corpus(
     if not 0 < clip_len_s < math.inf:
         raise BadClipLength(f"clip length must be finite and > 0, got {clip_len_s!r}")
 
-    units: list[SearchUnit] = []
+    units: list[tuple[float, float] | None] = []
     first_unit: list[int] = []
     index = np.empty((len(items), embed_dim), dtype=np.float64)
     for pos, item in enumerate(items):
@@ -232,10 +218,9 @@ def build_corpus(
         index[pos] = embed(item.content, embed_dim, embed_seed)
         first_unit.append(len(units))
         if item.modality is Modality.VIDEO:
-            for start, end in segment_video(item.duration_s, clip_len_s):
-                units.append(SearchUnit(item_pos=pos, clip=Clip(item.id, start, end)))
+            units.extend(segment_video(item.duration_s, clip_len_s))
         else:
-            units.append(SearchUnit(item_pos=pos))
+            units.append(None)
     first_unit.append(len(units))
     return Corpus(
         items=items,
@@ -280,16 +265,17 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return top[np.argsort(neg[top], kind="stable")]
 
 
-def sample_frames(clip: Clip, n: int) -> list[tuple[float, str]]:
-    """``n`` uniformly spaced frames over [start, end), first at start.
-    Timestamps are stored at the canonical 6-decimal precision."""
+def sample_frames(source_id: str, start_s: float, end_s: float, n: int) -> list[tuple[float, str]]:
+    """``n`` uniformly spaced frames over [start_s, end_s) of the video
+    ``source_id``, first at start_s.  Timestamps are stored at the canonical
+    6-decimal precision."""
     if n < 1:
         raise ValueError(f"frame count must be >= 1, got {n!r}")
-    span = clip.end_s - clip.start_s
+    span = end_s - start_s
     out = []
     for i in range(n):
-        ts = round(clip.start_s + span * i / n, 6)
-        out.append((ts, f"frame://{clip.source_id}?t={ts:.3f}"))
+        ts = round(start_s + span * i / n, 6)
+        out.append((ts, f"frame://{source_id}?t={ts:.3f}"))
     return out
 
 
@@ -328,29 +314,30 @@ def search(
     # each item owns at least one unit, so k items suffice.
     first = corpus.first_unit
     ranked_items = _top_k(scores, k).tolist()
-    order = itertools.islice(
-        (unit for pos in ranked_items for unit in range(first[pos], first[pos + 1])), k
+    hits = itertools.islice(
+        ((pos, unit) for pos in ranked_items for unit in corpus.units[first[pos]:first[pos + 1]]),
+        k,
     )
 
     observations: list[Observation] = []
     counters = {Modality.TEXT: 0, Modality.IMAGE: 0, Modality.VIDEO: 0}
-    for unit_pos in order:
-        unit = corpus.units[unit_pos]
-        item = corpus.items[unit.item_pos]
+    for pos, unit in hits:
+        item = corpus.items[pos]
         counters[item.modality] += 1
         clip_fields = {}
-        if unit.clip is not None:
+        if unit is not None:
+            start_s, end_s = unit
             clip_fields = {
-                "clip_start_s": unit.clip.start_s,
-                "clip_end_s": unit.clip.end_s,
-                "frames": tuple(sample_frames(unit.clip, n_frames)),
+                "clip_start_s": start_s,
+                "clip_end_s": end_s,
+                "frames": tuple(sample_frames(item.id, start_s, end_s, n_frames)),
             }
         observations.append(
             Observation(
                 id=f"{_MODALITY_LABEL[item.modality]} {counters[item.modality]}",
                 source_id=item.id,
                 modality=item.modality,
-                score=round(float(scores[unit.item_pos]), 6),
+                score=round(float(scores[pos]), 6),
                 content=item.content,
                 asset_ref=item.asset_ref,
                 **clip_fields,

@@ -168,6 +168,12 @@ class ChatCompletionsClient:
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise PolicyUnreachable(f"endpoint URL must be http(s)://host..., got {base_url!r}")
         self._host = parts.hostname
+        if not self._host.isascii():
+            # http.client sends a non-ASCII host as IDNA, failing there if it cannot
+            try:
+                self._host.encode("idna")
+            except UnicodeError as exc:
+                raise PolicyUnreachable(f"bad endpoint host in {base_url!r}: {exc}") from exc
         self._path = parts.path
         self._connection_class = (
             http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
@@ -386,8 +392,9 @@ class Trajectory:
     @classmethod
     def from_jsonl(cls, text: str) -> "Trajectory":
         """Read a trajectory file.  Its reward must be null, 0 or 1, and the
-        meta line's query, answer and truncation flag what its graph says."""
-        lines = [line for line in text.splitlines() if line.strip()]
+        meta line's query, answer and truncation flag what its graph says.
+        A line ends only at "\\n": strings hold U+0085, U+2028 and U+2029 raw."""
+        lines = [line for line in text.split("\n") if line.strip()]
         if not lines:
             raise CorruptSession("empty trajectory file")
         try:

@@ -525,6 +525,40 @@ class TestStats:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+class TestJsonlLineEnds:
+    """canonical_dumps writes U+0085, U+2028 and U+2029 raw inside strings,
+    so a JSONL line ends only at "\\n"."""
+
+    def test_trajectory_round_trip_stats_and_prune(self, tmp_path, capsys, char):
+        from graphmem.runtime import load_trajectory
+
+        script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
+        script[0] = script[0].replace("The question", f"The {char} question")
+        out = tmp_path / "t.jsonl"
+        assert main(_run_with(
+            tmp_path, policy_script=_write(tmp_path / "s.json", json.dumps(script)),
+        ) + ["--gold", "mira chen, 2019", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert char in text
+        assert load_trajectory(out).to_jsonl() == text
+        assert main(["stats", "--trajectories", str(out)]) == 0
+        batch = tmp_path / "batch.jsonl"
+        assert main(["prune", "--trajectories", str(out), "--out-batch", str(batch)]) == 0
+        assert batch.read_text(encoding="utf-8")
+        assert capsys.readouterr().err == ""
+
+    def test_queries_file(self, tmp_path, capsys, char):
+        query = f"Who directed {char} Solaris Dawn?"
+        line = json.dumps({"query": query}, ensure_ascii=False)
+        assert main(_run_batch(tmp_path, f"{line}\n{line}\n")) == 0
+        assert capsys.readouterr().err == ""
+        for index in range(2):
+            path = tmp_path / "batch" / f"trajectory_{index:04d}.jsonl"
+            meta = json.loads(path.read_text(encoding="utf-8").split("\n")[0])
+            assert meta["query"] == query
+
+
 class TestConfigDump:
     def test_dump_defaults_round_trip(self, tmp_path, capsys):
         assert main(["config", "dump"]) == 0
@@ -876,6 +910,26 @@ def test_lone_surrogate_input_is_one_typed_line(tmp_path, case):
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"error [{code}]: ")
     assert not list(tmp_path.rglob("trajectory*.jsonl"))
+
+
+@pytest.mark.parametrize("role", ["policy", "judge"])
+def test_host_not_valid_idna_is_one_typed_line(tmp_path, role):
+    """An endpoint host that http.client cannot send fails as the client is
+    made, before any episode runs."""
+    root = Path(__file__).parent.parent
+    config = write_demo_config(tmp_path, **{
+        f"{role}_mode": "remote", f"{role}_base_url": "http://\xe9..x:1", f"{role}_model": "m",
+    })
+    result = subprocess.run(
+        [sys.executable, "-m", "graphmem.cli", "run", "--config", str(config),
+         "--query", DEMO_QUERY, "--gold", "mira chen, 2019"],
+        capture_output=True, text=True, errors="backslashreplace", timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error [PolicyUnreachable]: ")
 
 
 def test_make_goldens_reproduces_the_committed_files(tmp_path):

@@ -15,7 +15,6 @@ from graphmem.canon import canonical_dumps
 from graphmem.retrieval import (
     BadClipLength,
     BadManifest,
-    Clip,
     CorpusItem,
     DuplicateItemId,
     EmptyIndex,
@@ -41,18 +40,17 @@ class TestBuildCorpus:
         corpus = build_corpus(
             [CorpusItem("v", Modality.VIDEO, "caption", duration_s=150.0)], clip_len_s=60.0
         )
-        bounds = [(unit.clip.start_s, unit.clip.end_s) for unit in corpus.units]
-        assert bounds == [(0.0, 60.0), (60.0, 120.0), (120.0, 150.0)]
+        assert corpus.units == [(0.0, 60.0), (60.0, 120.0), (120.0, 150.0)]
 
     def test_exact_length_single_clip(self):
         corpus = build_corpus(
             [CorpusItem("v", Modality.VIDEO, "caption", duration_s=60.0)], clip_len_s=60.0
         )
-        assert [(u.clip.start_s, u.clip.end_s) for u in corpus.units] == [(0.0, 60.0)]
+        assert corpus.units == [(0.0, 60.0)]
 
     def test_no_videos_no_clips(self):
         corpus = build_corpus([CorpusItem("t", Modality.TEXT, "body")])
-        assert [unit.clip for unit in corpus.units] == [None]
+        assert corpus.units == [None]
 
     def test_duplicate_id_rejected(self):
         items = [CorpusItem("x", Modality.TEXT, "a"), CorpusItem("x", Modality.TEXT, "b")]
@@ -76,18 +74,20 @@ class TestBuildCorpus:
 
     def test_units_share_their_items_row(self):
         corpus = build_corpus(self.MIXED_ITEMS, clip_len_s=60.0)
-        assert len(corpus.units) == 3 + 1 + 4 + 1
-        for unit in corpus.units:
-            item = self.MIXED_ITEMS[unit.item_pos]
-            if item.modality is Modality.VIDEO:
-                assert unit.clip.source_id == item.id
-            else:
-                assert unit.clip is None
+        assert corpus.units == [
+            (0.0, 60.0), (60.0, 120.0), (120.0, 150.0),
+            None,
+            (0.0, 60.0), (60.0, 120.0), (120.0, 180.0), (180.0, 200.0),
+            None,
+        ]
         # first_unit partitions the units, in item order
         assert corpus.first_unit == [0, 3, 4, 8, 9]
         for pos, (lo, hi) in enumerate(zip(corpus.first_unit, corpus.first_unit[1:])):
-            assert lo < hi
-            assert all(unit.item_pos == pos for unit in corpus.units[lo:hi])
+            item = self.MIXED_ITEMS[pos]
+            if item.modality is Modality.VIDEO:
+                assert corpus.units[lo:hi] == segment_video(item.duration_s, 60.0)
+            else:
+                assert corpus.units[lo:hi] == [None]
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
     def test_video_needs_finite_positive_duration(self, duration):
@@ -151,10 +151,7 @@ class TestSearch:
         oracle_order = pure_python_topk(vectors, query_vec, 3)
         results = search(corpus, "photon entanglement", 3)
         assert results[0].source_id == "d2"
-        assert [corpus.units.index(u) for u in corpus.units] is not None
-        assert [obs.source_id for obs in results] == [
-            corpus.items[corpus.units[i].item_pos].id for i in oracle_order
-        ]
+        assert [obs.source_id for obs in results] == [items[i].id for i in oracle_order]
 
     def test_duplicate_docs_tie_by_insertion(self):
         items = [
@@ -175,14 +172,12 @@ class TestSearch:
     def test_unsearchable_query_scores_zero(self, toy_corpus):
         results = search(toy_corpus, "!!!", 3)
         assert all(obs.score == 0.0 for obs in results)
-        first = [toy_corpus.units[i] for i in range(3)]
-        assert [(obs.source_id, obs.clip_start_s) for obs in results] == [
-            (
-                toy_corpus.items[u.item_pos].id,
-                None if u.clip is None else u.clip.start_s,
-            )
-            for u in first
-        ]
+        first = [
+            (item.id, None if unit is None else unit[0])
+            for pos, item in enumerate(toy_corpus.items)
+            for unit in toy_corpus.units[toy_corpus.first_unit[pos]:toy_corpus.first_unit[pos + 1]]
+        ][:3]
+        assert [(obs.source_id, obs.clip_start_s) for obs in results] == first
 
     def test_clips_of_one_video_tie_in_insertion_order(self):
         items = [
@@ -246,10 +241,7 @@ def per_unit_search(items, clip_len_s, dim, query, k, n_frames=8):
     units = []
     for item in items:
         if item.modality is Modality.VIDEO:
-            units += [
-                (item, Clip(item.id, start, end))
-                for start, end in segment_video(item.duration_s, clip_len_s)
-            ]
+            units += [(item, clip) for clip in segment_video(item.duration_s, clip_len_s)]
         else:
             units.append((item, None))
     index = np.stack([embed(item.content, dim) for item, _ in units])
@@ -283,14 +275,15 @@ def dense_search(corpus, index, query, k, n_frames=8):
     hits = []
     for pos in np.argsort(-scores, kind="stable").tolist():
         for unit in corpus.units[corpus.first_unit[pos]:corpus.first_unit[pos + 1]]:
-            hits.append((corpus.items[pos], unit.clip, float(scores[pos])))
+            hits.append((corpus.items[pos], unit, float(scores[pos])))
         if len(hits) >= k:
             break
     return hit_records(hits[:k], n_frames)
 
 
 def hit_records(hits, n_frames):
-    """Observation records for ``(item, clip, score)`` hits in rank order."""
+    """Observation records for ``(item, clip, score)`` hits in rank order;
+    ``clip`` is ``(start_s, end_s)`` or ``None``."""
     counters = {modality: 0 for modality in Modality}
     observations = []
     for item, clip, score in hits:
@@ -304,9 +297,8 @@ def hit_records(hits, n_frames):
             "asset_ref": item.asset_ref,
         }
         if clip is not None:
-            record["clip_start_s"] = clip.start_s
-            record["clip_end_s"] = clip.end_s
-            record["frames"] = [[ts, ref] for ts, ref in sample_frames(clip, n_frames)]
+            record["clip_start_s"], record["clip_end_s"] = clip
+            record["frames"] = [[ts, ref] for ts, ref in sample_frames(item.id, *clip, n_frames)]
         observations.append(record)
     return observations
 
@@ -411,19 +403,16 @@ class TestPostings:
 
 class TestFrames:
     def test_uniform_grid(self):
-        clip = Clip("v", 0.0, 60.0)
-        assert [ts for ts, _ in sample_frames(clip, 4)] == [0.0, 15.0, 30.0, 45.0]
+        assert [ts for ts, _ in sample_frames("v", 0.0, 60.0, 4)] == [0.0, 15.0, 30.0, 45.0]
 
     def test_single_frame_at_start(self):
-        assert [ts for ts, _ in sample_frames(Clip("v", 10.0, 60.0), 1)] == [10.0]
+        assert [ts for ts, _ in sample_frames("v", 10.0, 60.0, 1)] == [10.0]
 
     def test_offset_clip(self):
-        clip = Clip("v", 120.0, 150.0)
-        assert [ts for ts, _ in sample_frames(clip, 3)] == [120.0, 130.0, 140.0]
+        assert [ts for ts, _ in sample_frames("v", 120.0, 150.0, 3)] == [120.0, 130.0, 140.0]
 
     def test_refs_deterministic(self):
-        clip = Clip("v", 0.0, 60.0)
-        assert sample_frames(clip, 5) == sample_frames(clip, 5)
+        assert sample_frames("v", 0.0, 60.0, 5) == sample_frames("v", 0.0, 60.0, 5)
 
 
 class TestKeyframes:
@@ -628,15 +617,13 @@ class TestSearchServer:
         status, reply = post_json(server_address, "/search", {"query": "solaris", "k": 3})
         assert status == 200 and len(reply["results"]) == 3
 
-    def test_healthz(self, server_address, toy_corpus):
+    def test_healthz(self, server_address):
         conn = http.client.HTTPConnection(*server_address, timeout=5)
         try:
             conn.request("GET", "/healthz")
             response = conn.getresponse()
             assert response.status == 200
-            assert json.loads(response.read()) == {
-                "status": "ok", "units": len(toy_corpus.units)
-            }
+            assert json.loads(response.read()) == {"status": "ok", "units": 6}
             conn.request("GET", "/search")
             response = conn.getresponse()
             assert response.status == 404

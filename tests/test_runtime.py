@@ -544,10 +544,17 @@ class TestChatCompletionsClient:
         assert sorted(replies) == sorted(f"reply {n}" for n in range(30))
         assert stub.connections == 6  # one per thread
 
-    @pytest.mark.parametrize("url", ["ftp://127.0.0.1", "127.0.0.1:8000", "http://host:port"])
+    @pytest.mark.parametrize(
+        "url",
+        ["ftp://127.0.0.1", "127.0.0.1:8000", "http://host:port", "http://\xe9..x:1",
+         "http://\udcff:1"],
+    )
     def test_bad_url_is_typed(self, url):
         with pytest.raises(PolicyUnreachable):
             ChatCompletionsClient(url, "test-model")
+
+    def test_host_valid_as_idna_accepted(self):
+        ChatCompletionsClient("http://\xe9.x:1", "test-model")
 
 
 def golden_with_meta(tmp_path, key, value) -> Path:
