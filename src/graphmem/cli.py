@@ -50,22 +50,21 @@ TOKEN_CHARS = 4  # proxy: rendered prompt characters per counted token
 
 
 class EmptyCorpus(DomainError):
-    code = "EmptyCorpus"
+    pass
 
 
 class BadInputFile(DomainError):
-    code = "BadInputFile"
+    pass
 
 
 class BadArgument(DomainError):
-    code = "BadArgument"
+    pass
 
 
 def _report(exc: DomainError | OSError, where: str = "") -> None:
     """One typed line on stderr for a failure that ends a command or an
-    episode: a domain error names its code, an OS error its class."""
-    code = exc.code if isinstance(exc, DomainError) else type(exc).__name__
-    print(f"error [{code}]: {where}{exc}", file=sys.stderr)
+    episode, coded by the error's class name."""
+    print(f"error [{type(exc).__name__}]: {where}{exc}", file=sys.stderr)
 
 
 def _policy_source(config: Config, clients: ExitStack) -> Callable[[], Policy]:

@@ -18,7 +18,7 @@ from .runtime import EpisodeConfig, TOKEN_ENV_DEFAULT
 
 
 class ConfigError(DomainError):
-    code = "ConfigError"
+    pass
 
 
 # a field's annotation -> what its value must be

@@ -26,11 +26,11 @@ S_TOTAL_DEFAULT = 5 * 256 * 32 * 32  # 1,310,720 vision tokens
 
 
 class EnergyError(DomainError):
-    code = "EnergyError"
+    pass
 
 
 class BadPriority(EnergyError):
-    code = "BadPriority"
+    pass
 
 
 class ItemModality(str, Enum):
@@ -224,16 +224,23 @@ def allocate_budget(
     The scores are non-negative floats, whose denominators are powers of
     two, so scaled to the largest denominator they are exact integers, and
     the floor is taken in integer arithmetic: it never over-allocates.
-    Uniform mode, and the degenerate all-zero-score case, split evenly.
+    Uniform mode, which reads no score, and the degenerate all-zero-score
+    case split evenly.  A score that is not finite is an ``EnergyError``.
     """
     retained = tuple(retained)
     if not retained:
         return BudgetAssignment((), {}, params.s_total, report.evaluation_step)
-    ratios = [report.total[ordinal].as_integer_ratio() for ordinal in retained]
-    denominator = max(d for _, d in ratios)
-    weights = [n * (denominator // d) for n, d in ratios]
+    weights = []
+    if not params.uniform_mode:
+        scores = [report.total[ordinal] for ordinal in retained]
+        if not all(map(math.isfinite, scores)):
+            raise EnergyError(f"retained scores {scores} are not all finite; feedback "
+                              "compounds with gamma_feedback down a chain of nodes")
+        ratios = [score.as_integer_ratio() for score in scores]
+        denominator = max(d for _, d in ratios)
+        weights = [n * (denominator // d) for n, d in ratios]
     weight_sum = sum(weights)
-    if params.uniform_mode or weight_sum <= 0:
+    if weight_sum <= 0:
         share = params.s_total // len(retained)
         budgets = {ordinal: share for ordinal in retained}
     else:

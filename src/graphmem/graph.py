@@ -26,51 +26,51 @@ _NO_LINE = (None, (), "", "", (), "", "")
 
 
 class GraphError(DomainError):
-    code = "GraphError"
+    pass
 
 
 class EmptyQuery(GraphError):
-    code = "EmptyQuery"
+    pass
 
 
 class BadTitle(GraphError):
-    code = "BadTitle"
+    pass
 
 
 class UnknownParent(GraphError):
-    code = "UnknownParent"
+    pass
 
 
 class DuplicateTitle(GraphError):
-    code = "DuplicateTitle"
+    pass
 
 
 class GraphTerminal(GraphError):
-    code = "GraphTerminal"
+    pass
 
 
 class AlreadyPopulated(GraphError):
-    code = "AlreadyPopulated"
+    pass
 
 
 class NotASearchNode(GraphError):
-    code = "NotASearchNode"
+    pass
 
 
 class BadItemRef(GraphError):
-    code = "BadItemRef"
+    pass
 
 
 class BadIndex(GraphError):
-    code = "BadIndex"
+    pass
 
 
 class SchemaMismatch(GraphError):
-    code = "SchemaMismatch"
+    pass
 
 
 class CorruptGraph(GraphError):
-    code = "CorruptGraph"
+    pass
 
 
 class NodeKind(str, Enum):

@@ -45,39 +45,27 @@ _TIMESTAMP_LIMIT_S = 1e27
 
 
 class ProtocolError(DomainError):
-    code = "ProtocolError"
+    pass
 
 
 class MissingToolCall(ProtocolError):
-    code = "MissingToolCall"
+    pass
 
 
 class MalformedPayload(ProtocolError):
-    code = "MalformedPayload"
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message if position is None else f"{message} (at offset {position})")
-        self.position = position
+    pass
 
 
 class UnknownTool(ProtocolError):
-    code = "UnknownTool"
-
-    def __init__(self, name: str):
-        super().__init__(f"unknown tool {name!r}")
-        self.name = name
+    pass
 
 
 class SchemaViolation(ProtocolError):
-    code = "SchemaViolation"
-
-    def __init__(self, message: str, field_name: str | None = None):
-        super().__init__(message)
-        self.field_name = field_name
+    pass
 
 
 class StaleAssignment(ProtocolError):
-    code = "StaleAssignment"
+    pass
 
 
 def _half_up_tenths(seconds: float) -> Decimal:
@@ -174,44 +162,40 @@ _TAG_IN_THINKING_RE = re.compile(r"</?(?:thinking|tool_call)>")
 
 def _require(args: dict, key: str, kind: type, *, allow_empty: bool = False):
     if key not in args:
-        raise SchemaViolation(f"missing required field {key!r}", field_name=key)
+        raise SchemaViolation(f"missing required field {key!r}")
     value = args[key]
     if kind is bool:
         if not isinstance(value, bool):
-            raise SchemaViolation(f"field {key!r} must be a boolean", field_name=key)
+            raise SchemaViolation(f"field {key!r} must be a boolean")
         return value
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaViolation(f"field {key!r} must be a {kind.__name__}", field_name=key)
+        raise SchemaViolation(f"field {key!r} must be a {kind.__name__}")
     if kind is str and not allow_empty and not value.strip():
-        raise SchemaViolation(f"field {key!r} must be non-empty", field_name=key)
+        raise SchemaViolation(f"field {key!r} must be non-empty")
     return value
 
 
 def _parent_titles(args: dict) -> tuple[str, ...]:
     if "parent_ids" not in args:
-        raise SchemaViolation("missing required field 'parent_ids'", field_name="parent_ids")
+        raise SchemaViolation("missing required field 'parent_ids'")
     value = args["parent_ids"]
     if isinstance(value, str):
         value = [value]
     if not isinstance(value, list) or not value \
             or not all(isinstance(v, str) and v for v in value):
-        raise SchemaViolation(
-            "field 'parent_ids' must be a non-empty list of node ids", field_name="parent_ids"
-        )
+        raise SchemaViolation("field 'parent_ids' must be a non-empty list of node ids")
     return tuple(value)
 
 
 def _parse_priority(entry: dict, warnings: list[str]) -> int:
     if "priority_score" not in entry:
-        raise SchemaViolation("missing required field 'priority_score'", field_name="priority_score")
+        raise SchemaViolation("missing required field 'priority_score'")
     value = entry["priority_score"]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaViolation("field 'priority_score' must be a number", field_name="priority_score")
+        raise SchemaViolation("field 'priority_score' must be a number")
     if isinstance(value, float):
         if not value.is_integer():
-            raise SchemaViolation(
-                "field 'priority_score' must be an integer", field_name="priority_score"
-            )
+            raise SchemaViolation("field 'priority_score' must be an integer")
         value = int(value)
     if not 1 <= value <= 5:
         warnings.append(WARN_PRIORITY_CLAMPED)
@@ -224,9 +208,7 @@ def _parse_timestamps(entry: dict) -> tuple[float, ...]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         value = [value]
     if not isinstance(value, list):
-        raise SchemaViolation(
-            "field 'key_timestamp' must be a list of seconds", field_name="key_timestamp"
-        )
+        raise SchemaViolation("field 'key_timestamp' must be a list of seconds")
     out = []
     for ts in value:
         if (
@@ -235,8 +217,7 @@ def _parse_timestamps(entry: dict) -> tuple[float, ...]:
             or not 0 <= ts < _TIMESTAMP_LIMIT_S
         ):
             raise SchemaViolation(
-                f"key timestamps must be numbers >= 0 and below {_TIMESTAMP_LIMIT_S:g}",
-                field_name="key_timestamp",
+                f"key timestamps must be numbers >= 0 and below {_TIMESTAMP_LIMIT_S:g}"
             )
         out.append(float(ts))
     return tuple(out)
@@ -246,11 +227,11 @@ def _parse_memorize(args: dict, warnings: list[str]) -> Memorize:
     summary = _require(args, "summarize", str, allow_empty=True)
     entries = args.get("memorize", [])
     if not isinstance(entries, list):
-        raise SchemaViolation("field 'memorize' must be a list", field_name="memorize")
+        raise SchemaViolation("field 'memorize' must be a list")
     decisions = []
     for entry in entries:
         if not isinstance(entry, dict):
-            raise SchemaViolation("memorize entries must be objects", field_name="memorize")
+            raise SchemaViolation("memorize entries must be objects")
         decisions.append(
             MemorizeDecision(
                 information_id=_require(entry, "information_id", str),
@@ -291,21 +272,21 @@ def parse_response(text: str) -> ParsedResponse:
         payload = parse_json(payload_text)
     except json.JSONDecodeError as exc:
         raise MalformedPayload(
-            f"tool call payload is not valid JSON: {exc.msg}",
-            position=call_match.start(1) + exc.pos,
+            f"tool call payload is not valid JSON: {exc.msg} "
+            f"(at offset {call_match.start(1) + exc.pos})"
         ) from exc
     if not isinstance(payload, dict):
         raise MalformedPayload("tool call payload must be a JSON object")
     if "name" not in payload:
-        raise SchemaViolation("payload missing 'name'", field_name="name")
+        raise SchemaViolation("payload missing 'name'")
     name = payload["name"]
     if not isinstance(name, str):
-        raise SchemaViolation("field 'name' must be a string", field_name="name")
+        raise SchemaViolation("field 'name' must be a string")
     if "arguments" not in payload:
-        raise SchemaViolation("payload missing 'arguments'", field_name="arguments")
+        raise SchemaViolation("payload missing 'arguments'")
     args = payload["arguments"]
     if not isinstance(args, dict):
-        raise SchemaViolation("field 'arguments' must be an object", field_name="arguments")
+        raise SchemaViolation("field 'arguments' must be an object")
 
     if name == TOOL_SEARCH:
         action: Action = Retrieve(
@@ -321,7 +302,7 @@ def parse_response(text: str) -> ParsedResponse:
     elif name == TOOL_MEMORIZE:
         action = _parse_memorize(args, warnings)
     else:
-        raise UnknownTool(name)
+        raise UnknownTool(f"unknown tool {name!r}")
 
     if scan[call_match.end():].strip():
         warnings.append(WARN_TRAILING_TEXT)

@@ -23,6 +23,7 @@ import itertools
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,6 +42,7 @@ EMBED_DIM_MAX = 65536  # largest a corpus file may declare
 EMBED_SEED_DEFAULT = 9157
 CLIP_LEN_DEFAULT = 60.0
 FRAMES_PER_CLIP_DEFAULT = 8
+CLIPS_PER_VIDEO_MAX = 1_000_000  # bounds memory; keeps each clip's end above its start
 SCORE_DECIMALS = 12  # ranking quantization, keeps near-ties platform-stable
 _BUCKET_CACHE_SIZE = 1 << 16  # memoized token buckets, bounded in memory
 
@@ -51,23 +53,23 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 class RetrievalError(DomainError):
-    code = "RetrievalError"
+    pass
 
 
 class DuplicateItemId(RetrievalError):
-    code = "DuplicateItemId"
+    pass
 
 
 class BadClipLength(RetrievalError):
-    code = "BadClipLength"
+    pass
 
 
 class EmptyIndex(RetrievalError):
-    code = "EmptyIndex"
+    pass
 
 
 class BadManifest(RetrievalError):
-    code = "BadManifest"
+    pass
 
 
 class Modality(str, Enum):
@@ -96,8 +98,8 @@ class CorpusItem(Record, optional=("asset_ref",)):
             raise ValueError("corpus item id must be non-empty")
         if self.modality is Modality.VIDEO:
             # a finite positive duration gives the video at least one clip
-            if self.duration_s is None or not 0 < self.duration_s < math.inf:
-                raise ValueError(f"video {self.id!r} needs a finite duration_s > 0")
+            if not (_is_finite_number(self.duration_s) and self.duration_s > 0):
+                raise ValueError(f"video {self.id!r} needs a finite numeric duration_s > 0")
         elif self.duration_s is not None:
             raise ValueError(f"non-video {self.id!r} must not carry a duration")
 
@@ -181,6 +183,11 @@ def segment_video(duration_s: float, clip_len_s: float) -> list[tuple[float, flo
     seconds; the last clip may be shorter."""
     if not 0 < clip_len_s < math.inf:
         raise BadClipLength(f"clip length must be finite and > 0, got {clip_len_s!r}")
+    if duration_s / clip_len_s > CLIPS_PER_VIDEO_MAX:
+        raise BadClipLength(
+            f"a video of {duration_s!r} s in clips of {clip_len_s!r} s would make more than "
+            f"{CLIPS_PER_VIDEO_MAX} clips"
+        )
     bounds = []
     start = 0.0
     while start < duration_s:
@@ -426,7 +433,7 @@ def load_corpus(path: str | Path) -> Corpus:
     clip_len_s = record.get("clip_len_s")
     embed_dim = record.get("embed_dim")
     embed_seed = record.get("embed_seed")
-    if not (_is_int(clip_len_s) or isinstance(clip_len_s, float)) or not math.isfinite(clip_len_s):
+    if not _is_finite_number(clip_len_s):
         raise BadManifest(f"{path}: 'clip_len_s' must be a finite number, got {clip_len_s!r}")
     if not _is_int(embed_dim) or not 1 <= embed_dim <= EMBED_DIM_MAX:
         raise BadManifest(
@@ -443,3 +450,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: object) -> bool:
+    """An int or float a float holds finitely; a bool is not a number."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max

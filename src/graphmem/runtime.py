@@ -62,40 +62,29 @@ TRAJECTORY_SCHEMA = "trajectory/1"
 TOKEN_ENV_DEFAULT = "GRAPHMEM_API_TOKEN"
 
 
-class EpisodeError(DomainError):
-    code = "RuntimeError"
+class PolicyProtocolError(DomainError):
+    pass
 
 
-class PolicyProtocolError(EpisodeError):
-    code = "PolicyProtocolError"
-
-
-class PolicyUnreachable(EpisodeError):
+class PolicyUnreachable(DomainError):
     """The endpoint could not be reached, dropped the call, or answered
     with a non-2xx status."""
 
-    code = "PolicyUnreachable"
+
+class IllegalTransition(DomainError):
+    pass
 
 
-class IllegalTransition(EpisodeError):
-    code = "IllegalTransition"
-
-    def __init__(self, expected: str, got: str):
-        super().__init__(f"expected {expected}, got {got}")
-        self.expected = expected
-        self.got = got
+class JudgeError(DomainError):
+    pass
 
 
-class JudgeError(EpisodeError):
-    code = "JudgeError"
+class SessionSchemaMismatch(DomainError):
+    pass
 
 
-class SessionSchemaMismatch(EpisodeError):
-    code = "SessionSchemaMismatch"
-
-
-class CorruptSession(EpisodeError):
-    code = "CorruptSession"
+class CorruptSession(DomainError):
+    pass
 
 
 # -- policies ---------------------------------------------------------------
@@ -469,8 +458,7 @@ def apply_action(
             if decision.information_id not in by_id:
                 raise SchemaViolation(
                     f"information_id {decision.information_id!r} was not offered "
-                    f"(offered: {sorted(by_id)})",
-                    field_name="information_id",
+                    f"(offered: {sorted(by_id)})"
                 )
         owner = len(graph.nodes) - 1
         items: list[VisualItem] = []
@@ -547,7 +535,7 @@ def run_episode(
         raw, parsed = _act_and_parse(policy, bundle, ())
         action = parsed.action
         if isinstance(action, Memorize):
-            raise IllegalTransition("retrieve or answer", "memorize")
+            raise IllegalTransition("expected retrieve or answer, got memorize")
         try:
             apply_action(graph, action)
         except GraphError as exc:
@@ -575,7 +563,7 @@ def run_episode(
             )
             raw2, parsed2 = _act_and_parse(policy, bundle, followup)
             if not isinstance(parsed2.action, Memorize):
-                raise IllegalTransition("memorize", _action_kind(parsed2.action))
+                raise IllegalTransition(f"expected memorize, got {_action_kind(parsed2.action)}")
             apply_action(graph, parsed2.action, observations)
             record = replace(
                 record,

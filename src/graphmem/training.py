@@ -26,19 +26,19 @@ ADVANTAGE_STD_FLOOR = 1e-6
 
 
 class TrainingError(DomainError):
-    code = "TrainingError"
+    pass
 
 
 class TranscriptMismatch(TrainingError):
-    code = "TranscriptMismatch"
+    pass
 
 
 class MisalignedInputs(TrainingError):
-    code = "MisalignedInputs"
+    pass
 
 
 class IncompleteGroup(TrainingError):
-    code = "IncompleteGroup"
+    pass
 
 
 class MaskTag(str, Enum):

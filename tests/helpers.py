@@ -260,6 +260,21 @@ def random_action(rng: random.Random):
     return Memorize(summary=random_text(rng, empty_ok=True), decisions=decisions)
 
 
+def chain_script(depth: int) -> list[str]:
+    """A scripted episode over the demo corpus that grows a chain of
+    ``depth`` search nodes, each keeping the first text hit at priority 5,
+    and then answers from the last node."""
+    script, parent = [], "root"
+    for level in range(1, depth + 1):
+        title = f"s{level}"
+        script.append(serialize_action(Retrieve(title, (parent,), "Solaris Dawn director"), "t"))
+        keep = MemorizeDecision("Text 1", True, (), 5)
+        script.append(serialize_action(Memorize(f"level {level}", (keep,)), "t"))
+        parent = title
+    script.append(serialize_action(Answer((parent,), "mira chen"), "t"))
+    return script
+
+
 _NASTY = [
     '"',
     "\\",

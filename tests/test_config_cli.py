@@ -2,6 +2,7 @@ import http.client
 import json
 import os
 import random
+import resource
 import shutil
 import signal
 import socket
@@ -16,7 +17,7 @@ from graphmem.canon import canonical_dumps
 from graphmem.cli import main
 from graphmem.config import Config, ConfigError, dump_config, load_config
 from graphmem.retrieval import CorpusItem, Modality, build_corpus, save_corpus, search
-from helpers import KeepAliveStub, chat_reply
+from helpers import KeepAliveStub, chain_script, chat_reply
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -746,6 +747,56 @@ def test_os_failure_is_one_typed_line(tmp_path, capsys, case):
         assert ".tmp" not in err
 
 
+def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run graphmem in a child held to 1 GiB of address space and 60 s, so
+    that a command growing without bound fails rather than filling memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    root = Path(__file__).parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "graphmem.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+
+
+UNBOUNDED_CLIPS = {
+    "corpus build of a 1e20 s video": lambda tmp: _build_from_manifest(tmp, json.dumps(
+        {"items": [{"id": "v", "modality": "video", "content": "c", "duration_s": 1e20}]}
+    )),
+    "corpus build in 1e-9 s clips": lambda tmp: _build_from_manifest(
+        tmp, (FIXTURES / "corpus" / "manifest.json").read_text(encoding="utf-8")
+    ) + ["--clip-len", "1e-9"],
+    "run over a corpus of 1e-300 s clips": lambda tmp: _run_with(tmp, corpus_path=_write(
+        tmp / "corpus.json",
+        (FIXTURES / "demo_corpus.json").read_text(encoding="utf-8").replace(
+            '"clip_len_s":60.0', '"clip_len_s":1e-300'
+        ),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED_CLIPS))
+def test_unbounded_clip_count_is_one_typed_line(tmp_path, case):
+    result = _run_capped(UNBOUNDED_CLIPS[case](tmp_path))
+    assert result.returncode == 1, result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error [BadClipLength]: ")
+    assert "more than 1000000 clips" in line
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_score_past_the_float_range_is_one_typed_line(tmp_path):
+    """Feedback at gamma 1e308 drives a five-deep chain's scores to inf."""
+    script = _write(tmp_path / "chain.json", json.dumps(chain_script(5)))
+    result = _run_capped(_run_with(tmp_path, gamma_feedback=1e308, policy_script=script))
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error [EnergyError]: [0] retained scores [inf")
+
+
 # each command writes its outputs under tmp/new/sub, which does not exist yet
 NEW_DIRECTORY_OUTPUTS = {
     "corpus build": (
@@ -1072,13 +1123,15 @@ def test_serve_on_a_huge_embed_dim_is_one_bad_manifest_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("id", 7), ("content", 5), ("asset_ref", ["a"])],
-    ids=["id", "content", "asset_ref"],
+    "field, value", [("id", 7), ("content", 5), ("asset_ref", ["a"]), ("duration_s", True)],
+    ids=["id", "content", "asset_ref", "duration_s-bool"],
 )
 def test_non_string_corpus_item_field_is_one_bad_manifest_line(tmp_path, capsys, field, value):
     """``corpus build`` over a manifest and ``serve`` over a corpus file
-    refuse an item whose id, content or asset_ref is not a string."""
-    item = {"id": "d", "modality": "text", "content": "body", field: value}
+    refuse an item whose id, content or asset_ref is not a string, and a
+    video whose duration_s is not a number."""
+    modality = "video" if field == "duration_s" else "text"
+    item = {"id": "d", "modality": modality, "content": "body", field: value}
     assert main(_build_from_manifest(tmp_path, json.dumps({"items": [item]}))) == 1
     err = capsys.readouterr().err
     assert err.startswith("error [BadManifest]: ")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from graphmem.energy import (
     BadPriority,
+    EnergyError,
     EnergyParams,
     EnergyReport,
     ItemModality,
@@ -21,7 +22,9 @@ from graphmem.energy import (
     shape_memory,
 )
 from graphmem.graph import CorruptGraph, new_graph
+from graphmem.runtime import EpisodeConfig, ScriptedPolicy, run_episode
 from helpers import (
+    chain_script,
     fraction_budgets,
     naive_intrinsic,
     naive_omega,
@@ -255,6 +258,29 @@ class TestAllocation:
         report = recursive_energy(g, params)
         assignment = allocate_budget((0, 1), report, params)
         assert assignment.budgets == {0: 50, 1: 50}
+
+    @pytest.mark.parametrize("score", [math.inf, math.nan])
+    def test_score_that_is_not_finite_is_typed(self, score):
+        g = flat_graph([5, 3])
+        report = recursive_energy(g, EnergyParams(s_total=100, top_k=2))
+        report.total[1] = score
+        with pytest.raises(EnergyError, match=rf"retained scores \[1\.0, {score!r}\] are not"):
+            allocate_budget((0, 1), report, EnergyParams(s_total=100, top_k=2))
+        uniform = EnergyParams(s_total=100, top_k=2, uniform_mode=True)
+        assert allocate_budget((0, 1), report, uniform).budgets == {0: 50, 1: 50}
+
+    def test_feedback_past_the_float_range_is_typed(self, toy_corpus):
+        """Feedback compounds along a chain: at gamma 1e308 the first of three
+        chained nodes already scores inf, which only uniform mode splits."""
+        def run(uniform_mode):
+            params = EnergyParams(gamma_feedback=1e308, s_total=1000, top_k=3,
+                                  uniform_mode=uniform_mode)
+            return run_episode(ScriptedPolicy(chain_script(5)), toy_corpus, "query",
+                               EpisodeConfig(t_max=10, energy=params))
+
+        with pytest.raises(EnergyError, match="inf.* are not all finite"):
+            run(uniform_mode=False)
+        assert run(uniform_mode=True).answer_text == "mira chen"
 
     def test_empty_retained(self):
         g = new_graph("q")

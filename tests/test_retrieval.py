@@ -89,10 +89,22 @@ class TestBuildCorpus:
             else:
                 assert corpus.units[lo:hi] == [None]
 
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "duration",
+        [float("nan"), float("inf"), 0.0, -1.0, True, "60", pytest.param(10**400, id="10**400")],
+    )
     def test_video_needs_finite_positive_duration(self, duration):
         with pytest.raises(ValueError):
             CorpusItem("v", Modality.VIDEO, "caption", duration_s=duration)
+
+    def test_clip_count_is_bounded(self):
+        # a million clips at most; criterion 10's extreme makes 500,000.  Far
+        # larger requests are run only in a memory-capped child process
+        # (tests/test_config_cli.py), since without the bound they never end.
+        message = "a video of 1000001.0 s in clips of 1.0 s would make more than 1000000 clips"
+        with pytest.raises(BadClipLength) as excinfo:
+            segment_video(1_000_001.0, 1.0)
+        assert str(excinfo.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -495,6 +507,7 @@ class TestPersistence:
             ("clip_len_s", "60"),
             ("clip_len_s", True),
             ("clip_len_s", float("inf")),
+            pytest.param("clip_len_s", 10**400, id="clip_len_s-10**400"),
             ("embed_dim", None),
             ("embed_dim", "x"),
             ("embed_dim", 0),

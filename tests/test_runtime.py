@@ -150,7 +150,7 @@ class TestRunEpisode:
         script = [serialize_action(Memorize("s", ()), "t")]
         with pytest.raises(IllegalTransition) as excinfo:
             run_episode(ScriptedPolicy(script), toy_corpus, DEMO_QUERY, demo_config())
-        assert (excinfo.value.expected, excinfo.value.got) == ("retrieve or answer", "memorize")
+        assert str(excinfo.value) == "expected retrieve or answer, got memorize"
 
     @pytest.mark.parametrize(
         "reply, got",
@@ -164,8 +164,7 @@ class TestRunEpisode:
         ]
         with pytest.raises(IllegalTransition) as excinfo:
             run_episode(ScriptedPolicy(script), toy_corpus, DEMO_QUERY, demo_config())
-        assert excinfo.value.expected == "memorize"
-        assert excinfo.value.got == got
+        assert str(excinfo.value) == f"expected memorize, got {got}"
 
     def test_unoffered_information_id_rejected(self, toy_corpus):
         script = [
