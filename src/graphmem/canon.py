@@ -18,6 +18,7 @@ import json
 import operator
 import os
 import re
+import sys
 import types
 import typing
 from enum import Enum
@@ -29,34 +30,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _WS_RE = re.compile(r"\s+")
 
-FLOAT_PLACES = 6
-
 
 def normalize_text(text: str) -> str:
     """Case-fold, trim, and collapse runs of whitespace to single spaces."""
     return _WS_RE.sub(" ", text.casefold()).strip()
 
 
-def round_floats(obj: Any, places: int = FLOAT_PLACES) -> Any:
-    """Recursively round floats so serialized output is platform-stable."""
-    if isinstance(obj, float):
-        return round(obj, places)
-    if isinstance(obj, dict):
-        return {key: round_floats(value, places) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(value, places) for value in obj]
-    return obj
-
-
 def canonical_dumps(obj: Any) -> str:
-    """Serialize to canonical JSON: sorted keys, compact separators, UTF-8,
-    floats fixed at 6 decimal places."""
+    """Serialize to canonical JSON: sorted keys, compact separators, UTF-8.
+    Floats are written exactly as held; a value that must be stable to a
+    fixed precision is rounded where it is computed."""
     return json.dumps(
-        round_floats(obj),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-        allow_nan=False,
+        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    )
+
+
+def is_finite_number(value: object) -> bool:
+    """An int or float a float holds finitely; a bool is not a number.
+    Compared, not converted: an int too large for a float is not finite."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
     )
 
 

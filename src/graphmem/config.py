@@ -6,11 +6,10 @@ keeps its default, unknown keys are rejected (they are almost always typos).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .canon import canonical_dumps, read_json, read_text
+from .canon import canonical_dumps, is_finite_number, read_json, read_text
 from .energy import EnergyParams
 from .errors import DomainError
 from .protocol import DEFAULT_INSTRUCTION
@@ -33,8 +32,7 @@ def _has_type(annotation: str, value: object) -> bool:
     if annotation == "int":
         return isinstance(value, int)
     if annotation == "float":
-        # compared, not converted: an int too large for a float is not finite
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        return is_finite_number(value)
     return isinstance(value, {"bool": bool, "str": str}[annotation])
 
 

@@ -23,13 +23,12 @@ import itertools
 import logging
 import math
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .canon import Record, canonical_dumps, read_json, write_text_atomic
+from .canon import Record, canonical_dumps, is_finite_number, read_json, write_text_atomic
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -98,7 +97,7 @@ class CorpusItem(Record, optional=("asset_ref",)):
             raise ValueError("corpus item id must be non-empty")
         if self.modality is Modality.VIDEO:
             # a finite positive duration gives the video at least one clip
-            if not (_is_finite_number(self.duration_s) and self.duration_s > 0):
+            if not (is_finite_number(self.duration_s) and self.duration_s > 0):
                 raise ValueError(f"video {self.id!r} needs a finite numeric duration_s > 0")
         elif self.duration_s is not None:
             raise ValueError(f"non-video {self.id!r} must not carry a duration")
@@ -225,7 +224,10 @@ def build_corpus(
         index[pos] = embed(item.content, embed_dim, embed_seed)
         first_unit.append(len(units))
         if item.modality is Modality.VIDEO:
-            units.extend(segment_video(item.duration_s, clip_len_s))
+            try:
+                units.extend(segment_video(item.duration_s, clip_len_s))
+            except BadClipLength as exc:
+                raise BadClipLength(f"{item.id!r}: {exc}") from None
         else:
             units.append(None)
     first_unit.append(len(units))
@@ -274,8 +276,8 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 def sample_frames(source_id: str, start_s: float, end_s: float, n: int) -> list[tuple[float, str]]:
     """``n`` uniformly spaced frames over [start_s, end_s) of the video
-    ``source_id``, first at start_s.  Timestamps are stored at the canonical
-    6-decimal precision."""
+    ``source_id``, first at start_s.  Timestamps are rounded to 6 decimal
+    places."""
     if n < 1:
         raise ValueError(f"frame count must be >= 1, got {n!r}")
     span = end_s - start_s
@@ -299,7 +301,7 @@ def search(
     """Top-k searchable units by cosine similarity, ties broken by insertion
     order.  Scores are quantized to 12 decimal places before ranking so that
     near-ties order identically on every platform, and stored on the
-    observations at the canonical 6-decimal precision."""
+    observations rounded to 6 decimal places."""
     import numpy as np
 
     if k < 1:
@@ -433,7 +435,7 @@ def load_corpus(path: str | Path) -> Corpus:
     clip_len_s = record.get("clip_len_s")
     embed_dim = record.get("embed_dim")
     embed_seed = record.get("embed_seed")
-    if not _is_finite_number(clip_len_s):
+    if not is_finite_number(clip_len_s):
         raise BadManifest(f"{path}: 'clip_len_s' must be a finite number, got {clip_len_s!r}")
     if not _is_int(embed_dim) or not 1 <= embed_dim <= EMBED_DIM_MAX:
         raise BadManifest(
@@ -450,8 +452,3 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value: object) -> bool:
-    """An int or float a float holds finitely; a bool is not a number."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max

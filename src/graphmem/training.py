@@ -311,9 +311,9 @@ def prepare_group(
 def export_training_batch(groups: Sequence[RolloutGroup]) -> str:
     """Line-delimited batch hand-off: one record per segment carrying the
     prompt ref, the response spans, the mask bit with its provenance tag, and
-    the broadcast advantage.  Masked segments stay in the file (the trainer
-    decides whether to drop or zero-weight them).  Deterministic ordering:
-    groups, then rollouts, then segments."""
+    the broadcast advantage, rounded to 6 decimal places.  Masked segments
+    stay in the file (the trainer decides whether to drop or zero-weight
+    them).  Deterministic ordering: groups, then rollouts, then segments."""
     lines = []
     for group_index, group in enumerate(groups):
         for rollout in group.rollouts:
@@ -326,7 +326,7 @@ def export_training_batch(groups: Sequence[RolloutGroup]) -> str:
                     "group": group_index,
                     "query": group.query,
                     "reward": rollout.reward,
-                    "advantage": rollout.advantage,
+                    "advantage": round(rollout.advantage, 6),
                     "mu": entry.mu,
                     "tag": entry.tag.value,
                     **segment.to_dict(),

@@ -33,6 +33,8 @@ from graphmem.protocol import (
     Retrieve,
     serialize_action,
 )
+from graphmem.retrieval import Corpus, Modality, search
+from graphmem.runtime import EpisodeConfig
 
 # -- energy oracle -----------------------------------------------------------
 
@@ -260,6 +262,35 @@ def random_action(rng: random.Random):
     return Memorize(summary=random_text(rng, empty_ok=True), decisions=decisions)
 
 
+def random_episode_script(rng: random.Random, corpus: Corpus, config: EpisodeConfig,
+                          vocab: list[str]) -> list[str]:
+    """A legal scripted episode over ``corpus``: one to four retrieves under
+    random parents, each memorizing a random subset of the hits it will be
+    offered (video keyframes requested in and around the clip), then an
+    answer from random search nodes."""
+    script, titles = [], ["root"]
+    for level in range(1, rng.randint(2, 5)):
+        title, query = f"s{level}", " ".join(rng.choices(vocab, k=rng.randint(1, 3)))
+        parents = tuple(rng.sample(titles, rng.randint(1, min(2, len(titles)))))
+        script.append(serialize_action(Retrieve(title, parents, query), "t"))
+        hits = search(corpus, query, config.search_k, n_frames=config.n_frames)
+        decisions = []
+        for hit in rng.sample(hits, rng.randint(0, len(hits))):
+            stamps = ()
+            if hit.modality is Modality.VIDEO:
+                stamps = tuple(
+                    max(0.0, rng.uniform(hit.clip_start_s - 5, hit.clip_end_s + 5))
+                    for _ in range(rng.randint(0, 3))
+                )
+            decisions.append(MemorizeDecision(hit.id, rng.random() < 0.8, stamps,
+                                              rng.randint(1, 5)))
+        script.append(serialize_action(Memorize(f"level {level}", tuple(decisions)), "t"))
+        titles.append(title)
+    parents = tuple(rng.sample(titles[1:], rng.randint(1, len(titles) - 1)))
+    script.append(serialize_action(Answer(parents, rng.choice(vocab)), "t"))
+    return script
+
+
 def chain_script(depth: int) -> list[str]:
     """A scripted episode over the demo corpus that grows a chain of
     ``depth`` search nodes, each keeping the first text hit at priority 5,
@@ -329,6 +360,27 @@ def escape_text(rng: random.Random) -> str:
 
 def random_response(rng: random.Random) -> str:
     return serialize_action(random_action(rng), random_text(rng, empty_ok=True))
+
+
+# -- reference writer ------------------------------------------------------------
+
+
+def rounding_dumps(obj) -> str:
+    """The canonical writer as it was when it rounded every float to 6
+    decimal places on the way out, rebuilding each dict and list."""
+
+    def rounded(value):
+        if isinstance(value, float):
+            return round(value, 6)
+        if isinstance(value, dict):
+            return {key: rounded(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [rounded(item) for item in value]
+        return value
+
+    return json.dumps(
+        rounded(obj), sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    )
 
 
 # -- objective oracle ---------------------------------------------------------

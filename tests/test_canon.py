@@ -1,11 +1,21 @@
+import http.client
 import json
 import os
+import random
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-from graphmem.canon import Record, json_escape, parse_json, write_text_atomic
+from graphmem import cli, graph, protocol, runtime, server, training
+from graphmem.canon import Record, canonical_dumps, json_escape, parse_json, write_text_atomic
+from graphmem.config import load_config
 from graphmem.graph import NodeKind
+from graphmem.retrieval import CorpusItem, Modality, build_corpus
+from helpers import random_episode_script, rounding_dumps
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestParseJson:
@@ -115,3 +125,76 @@ class TestRecord:
 
     def test_null_in_an_optional_field_reads_as_none(self):
         assert _Tagged.from_dict({"kind": None}) == _Tagged()
+
+
+def test_every_written_float_is_rounded_where_it_is_made(tmp_path, monkeypatch, toy_corpus):
+    """The writer and the reference that rounds every float on the way out
+    give the same bytes for each record the engine writes: trajectory lines,
+    batch lines, ``/search`` replies, linearize lines and the stats report.
+    The demo episode and seeded random episodes over 60 s clips, of videos
+    whose durations are given to 0.1 s, supply them."""
+    written = []
+
+    def both(obj):
+        text = canonical_dumps(obj)
+        written.append((text, rounding_dumps(obj)))
+        return text
+
+    for module in (cli, graph, protocol, runtime, server, training):
+        monkeypatch.setattr(module, "canonical_dumps", both)
+
+    def writes(stage):
+        before = len(written)
+        result = stage()
+        assert len(written) > before
+        return result
+
+    rng = random.Random(2311)
+    vocab = [f"w{i}" for i in range(12)]
+    items = []
+    for i in range(30):
+        modality = rng.choice(list(Modality))
+        duration = round(rng.uniform(0.1, 400), 1) if modality is Modality.VIDEO else None
+        items.append(CorpusItem(f"{modality.value}-{i}", modality,
+                                " ".join(rng.choices(vocab, k=rng.randint(1, 8))), duration))
+    corpus = build_corpus(items)
+    config = load_config(FIXTURES / "demo_config.json").episode_config()
+    demo_script = json.loads((FIXTURES / "demo_script.json").read_text(encoding="utf-8"))
+    # episodes render their prompts through linearize
+    episodes = [writes(lambda: runtime.run_episode(
+        runtime.ScriptedPolicy(demo_script), toy_corpus, "demo", config))]
+    for reward in (1, 0, 0, 1, 0, 0):
+        script = random_episode_script(rng, corpus, config, vocab)
+        episode = writes(lambda: runtime.run_episode(
+            runtime.ScriptedPolicy(script), corpus, "q", config))
+        episode.reward = reward
+        episodes.append(episode)
+
+    paths = [str(tmp_path / f"t{i}.jsonl") for i in range(len(episodes))]
+    for episode, path in zip(episodes, paths):
+        writes(lambda: runtime.save_trajectory(episode, path))
+    group = training.prepare_group(episodes[1:], [items[0].id, items[1].id])
+    writes(lambda: training.export_training_batch([group]))
+    writes(lambda: cli.main(["stats", "--trajectories", *paths,
+                             "--out", str(tmp_path / "stats.json")]))
+
+    search_server = server.make_search_server(corpus)
+    thread = threading.Thread(target=search_server.serve_forever, kwargs={"poll_interval": 0.02})
+    thread.start()
+    try:
+        conn = http.client.HTTPConnection(*search_server.server_address[:2], timeout=10)
+
+        def post(body: str) -> bytes:
+            conn.request("POST", "/search", body=body)
+            return conn.getresponse().read()
+
+        for _ in range(20):
+            query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
+            writes(lambda: post(json.dumps({"query": query, "k": rng.randint(1, 30)})))
+        conn.close()
+    finally:
+        search_server.shutdown()
+        search_server.server_close()
+        thread.join(timeout=5)
+
+    assert [text for text, reference in written if text != reference] == []

@@ -58,9 +58,10 @@ class TestConfig:
         assert config.top_k == 5
 
     def test_round_trip(self, tmp_path):
-        config = Config(t_max=7, uniform_mode=True, corpus_path="c.json")
+        config = Config(lambda_decay=1e-7, t_max=7, uniform_mode=True, corpus_path="c.json")
         path = tmp_path / "c.json"
         path.write_text(dump_config(config), encoding="utf-8")
+        assert '"lambda_decay":1e-07,' in path.read_text(encoding="utf-8")
         assert load_config(path) == config
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -761,29 +762,32 @@ def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
     )
 
 
+# each case's argv, and the id of the video it cannot segment
 UNBOUNDED_CLIPS = {
-    "corpus build of a 1e20 s video": lambda tmp: _build_from_manifest(tmp, json.dumps(
+    "corpus build of a 1e20 s video": (lambda tmp: _build_from_manifest(tmp, json.dumps(
         {"items": [{"id": "v", "modality": "video", "content": "c", "duration_s": 1e20}]}
-    )),
-    "corpus build in 1e-9 s clips": lambda tmp: _build_from_manifest(
+    )), "v"),
+    "corpus build in 1e-9 s clips": (lambda tmp: _build_from_manifest(
         tmp, (FIXTURES / "corpus" / "manifest.json").read_text(encoding="utf-8")
-    ) + ["--clip-len", "1e-9"],
-    "run over a corpus of 1e-300 s clips": lambda tmp: _run_with(tmp, corpus_path=_write(
+    ) + ["--clip-len", "1e-9"], "vid-interview"),
+    "run over a corpus of 1e-300 s clips": (lambda tmp: _run_with(tmp, corpus_path=_write(
         tmp / "corpus.json",
         (FIXTURES / "demo_corpus.json").read_text(encoding="utf-8").replace(
             '"clip_len_s":60.0', '"clip_len_s":1e-300'
         ),
-    )),
+    )), "vid-interview"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNBOUNDED_CLIPS))
 def test_unbounded_clip_count_is_one_typed_line(tmp_path, case):
-    result = _run_capped(UNBOUNDED_CLIPS[case](tmp_path))
+    argv_for, video_id = UNBOUNDED_CLIPS[case]
+    result = _run_capped(argv_for(tmp_path))
     assert result.returncode == 1, result.stderr
     (line,) = result.stderr.splitlines()
     assert line.startswith("error [BadClipLength]: ")
     assert "more than 1000000 clips" in line
+    assert line.startswith(f"error [BadClipLength]: {video_id!r}: ")
     assert not (tmp_path / "c.json").exists()
 
 

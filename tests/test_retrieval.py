@@ -491,14 +491,26 @@ class TestPersistence:
             load_manifest(path)
 
     def test_corpus_file_round_trip_stable(self, tmp_path, toy_corpus):
-        path1 = tmp_path / "c1.json"
-        path2 = tmp_path / "c2.json"
-        save_corpus(toy_corpus, path1)
-        reloaded = load_corpus(path1)
-        save_corpus(reloaded, path2)
-        assert path1.read_bytes() == path2.read_bytes()
-        for ours, theirs in zip(reloaded.index, toy_corpus.index, strict=True):
-            assert np.array_equal(ours, theirs)
+        """A saved corpus loads as it was built, down to its clips: a video
+        4e-7 s longer than one clip keeps its second clip, and clips of
+        1e-7 s stay a valid length."""
+        corpora = [
+            toy_corpus,
+            build_corpus([CorpusItem("v", Modality.VIDEO, "c", duration_s=60.0000004)]),
+            build_corpus([CorpusItem("t", Modality.TEXT, "c")], clip_len_s=1e-7),
+        ]
+        assert len(corpora[1].units) == 2
+        for corpus in corpora:
+            path1 = tmp_path / "c1.json"
+            path2 = tmp_path / "c2.json"
+            save_corpus(corpus, path1)
+            reloaded = load_corpus(path1)
+            save_corpus(reloaded, path2)
+            assert path1.read_bytes() == path2.read_bytes()
+            assert reloaded.units == corpus.units
+            assert reloaded.clip_len_s == corpus.clip_len_s
+            for ours, theirs in zip(reloaded.index, corpus.index, strict=True):
+                assert np.array_equal(ours, theirs)
 
     @pytest.mark.parametrize(
         "field, value",

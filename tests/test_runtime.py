@@ -29,7 +29,7 @@ from graphmem.protocol import (
     parse_response,
     serialize_action,
 )
-from graphmem.retrieval import Modality, Observation
+from graphmem.retrieval import CorpusItem, Modality, Observation, build_corpus
 from graphmem.runtime import (
     ChatCompletionsClient,
     CorruptSession,
@@ -274,16 +274,41 @@ class TestApplyAction:
         assert not graph.nodes[1].populated
 
 
-# both were made under tests/fixtures/demo_config.json (see scripts/make_goldens.py)
-REPLAYS = {"demo": GOLDEN / "demo_trajectory.jsonl", "dup": FIXTURES / "dup_trajectory.jsonl"}
+def short_clip_trajectory(tmp_path: Path) -> Path:
+    """An episode over 0.1 s clips that keeps a keyframe at 0.3 s from the
+    third clip, whose end is 0.1 + 0.1 + 0.1 = 0.30000000000000004."""
+    corpus = build_corpus(
+        [CorpusItem("v", Modality.VIDEO, "Solaris Dawn premiere", duration_s=1.0)],
+        clip_len_s=0.1,
+    )
+    keep = MemorizeDecision("Video 3", True, (0.3,), 4)
+    script = [
+        serialize_action(Retrieve("clips", ("root",), "Solaris Dawn premiere"), "t"),
+        serialize_action(Memorize("the third clip", (keep,)), "t"),
+        serialize_action(Answer(("clips",), "2019"), "t"),
+    ]
+    config = load_config(FIXTURES / "demo_config.json").episode_config()
+    trajectory = run_episode(ScriptedPolicy(script), corpus, "When did it premiere?", config)
+    assert len(trajectory.graph.memory_bank) == 1
+    path = tmp_path / "short_clips.jsonl"
+    save_trajectory(trajectory, path)
+    return path
+
+
+# each made under tests/fixtures/demo_config.json; the first two by scripts/make_goldens.py
+REPLAYS = {
+    "demo": lambda tmp_path: GOLDEN / "demo_trajectory.jsonl",
+    "dup": lambda tmp_path: FIXTURES / "dup_trajectory.jsonl",
+    "short-clips": short_clip_trajectory,
+}
 
 
 @pytest.mark.parametrize("name", sorted(REPLAYS))
-def test_records_alone_rebuild_the_graph(name):
+def test_records_alone_rebuild_the_graph(tmp_path, name):
     """Shaping and the recorded actions, applied with the recorded
     observations, give every recorded assignment and the saved graph: no
     corpus search and no policy call."""
-    path = REPLAYS[name]
+    path = REPLAYS[name](tmp_path)
     energy = load_config(FIXTURES / "demo_config.json").episode_config().energy
     meta = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     trajectory = load_trajectory(path)

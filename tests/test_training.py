@@ -311,6 +311,9 @@ class TestPrepareGroupAndExport:
         assert {line["tag"] for line in lines} <= {
             "dead_end_positive", "valuable_negative", "unmasked",
         }
+        # rewards [1, 0, 0] give the advantages sqrt(2) and -sqrt(2)/2, written at 6 places
+        batch3 = export_training_batch([prepare_group(rollouts + rollouts[1:], ["doc-director"])])
+        assert '"advantage":1.414214,' in batch3 and '"advantage":-0.707107,' in batch3
 
     def test_export_requires_masks(self):
         rollout = Rollout("g0", 1, (segment(1),))
