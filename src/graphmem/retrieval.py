@@ -10,6 +10,8 @@ The index is per-bucket postings: the items non-zero in each bucket, with
 their entries.  A search adds the query's weight into each posting it
 touches, scoring only the items that share a bucket with the query, and
 calls no BLAS, so rankings do not depend on the BLAS build or its threads.
+Items are embedded only when a corpus is built; the corpus file stores the
+postings, and a load decodes and checks them.
 
 numpy is imported inside the functions that compute, not at module level,
 so importing graphmem leaves it unloaded.
@@ -17,6 +19,8 @@ so importing graphmem leaves it unloaded.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import functools
 import hashlib
 import itertools
@@ -45,7 +49,7 @@ CLIPS_PER_VIDEO_MAX = 1_000_000  # bounds memory; keeps each clip's end above it
 SCORE_DECIMALS = 12  # ranking quantization, keeps near-ties platform-stable
 _BUCKET_CACHE_SIZE = 1 << 16  # memoized token buckets, bounded in memory
 
-CORPUS_SCHEMA = "corpus/1"
+CORPUS_SCHEMA = "corpus/2"
 MANIFEST_SCHEMA = "corpus-manifest/1"
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -208,6 +212,27 @@ def build_corpus(
     import numpy as np
 
     items = list(items)
+    units, first_unit = _layout(items, clip_len_s)
+    index = np.empty((len(items), embed_dim), dtype=np.float64)
+    for pos, item in enumerate(items):
+        # every clip of a video is indexed by the video's caption
+        index[pos] = embed(item.content, embed_dim, embed_seed)
+    return Corpus(
+        items=items,
+        units=units,
+        first_unit=first_unit,
+        index=_postings(index),
+        embed_dim=embed_dim,
+        embed_seed=embed_seed,
+        clip_len_s=clip_len_s,
+    )
+
+
+def _layout(
+    items: list[CorpusItem], clip_len_s: float
+) -> tuple[list[tuple[float, float] | None], list[int]]:
+    """``Corpus.units`` and ``Corpus.first_unit`` of the items, whose ids
+    must be unique."""
     seen: set[str] = set()
     for item in items:
         if item.id in seen:
@@ -218,10 +243,7 @@ def build_corpus(
 
     units: list[tuple[float, float] | None] = []
     first_unit: list[int] = []
-    index = np.empty((len(items), embed_dim), dtype=np.float64)
-    for pos, item in enumerate(items):
-        # every clip of a video is indexed by the video's caption
-        index[pos] = embed(item.content, embed_dim, embed_seed)
+    for item in items:
         first_unit.append(len(units))
         if item.modality is Modality.VIDEO:
             try:
@@ -231,15 +253,7 @@ def build_corpus(
         else:
             units.append(None)
     first_unit.append(len(units))
-    return Corpus(
-        items=items,
-        units=units,
-        first_unit=first_unit,
-        index=_postings(index),
-        embed_dim=embed_dim,
-        embed_seed=embed_seed,
-        clip_len_s=clip_len_s,
-    )
+    return units, first_unit
 
 
 def _postings(index: np.ndarray) -> Postings:
@@ -384,12 +398,17 @@ def resolve_keyframes(
 
 
 def _items_from_record(record: dict, origin: str) -> list[CorpusItem]:
-    if not isinstance(record, dict) or "items" not in record:
+    if not isinstance(record, dict) or not isinstance(record.get("items"), list):
         raise BadManifest(f"{origin}: expected an object with an 'items' list")
-    try:
-        return [CorpusItem.from_dict(entry) for entry in record["items"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadManifest(f"{origin}: {exc}") from exc
+    items = []
+    for pos, entry in enumerate(record["items"]):
+        if not isinstance(entry, dict):
+            raise BadManifest(f"{origin}: items[{pos}] must be an object, got {entry!r:.40}")
+        try:
+            items.append(CorpusItem.from_dict(entry))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadManifest(f"{origin}: items[{pos}]: {exc}") from exc
+    return items
 
 
 def load_manifest(path: str | Path) -> list[CorpusItem]:
@@ -403,15 +422,21 @@ def load_manifest_dir(directory: str | Path) -> list[CorpusItem]:
     """All items from every ``*.json`` manifest in the directory, in sorted
     filename order."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise BadManifest(f"{directory}: not a directory")
     items: list[CorpusItem] = []
     for path in sorted(directory.glob("*.json")):
         items.extend(load_manifest(path))
     return items
 
 
+# how each postings array is stored: base64 of these little-endian entries
+_INDEX_DTYPES = {"start": "<i8", "rows": "<u4", "vals": "<f8"}
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus description.  Embeddings are not stored; they are
-    deterministic and get rebuilt on load, so unchanged inputs always produce
+    """Write the corpus: its items, embedding settings and postings.  The
+    postings are deterministic, so unchanged inputs always produce
     byte-identical files."""
     record = {
         "schema": CORPUS_SCHEMA,
@@ -419,17 +444,29 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         "embed_dim": corpus.embed_dim,
         "embed_seed": corpus.embed_seed,
         "items": [item.to_dict() for item in corpus.items],
+        "index": {
+            name: base64.b64encode(array.astype(_INDEX_DTYPES[name]).tobytes()).decode("ascii")
+            for name, array in corpus.index._asdict().items()
+        },
     }
     write_text_atomic(path, canonical_dumps(record) + "\n")
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    # numpy, which builds the index, loads before the JSON parse: loading
+    """The corpus a ``corpus/2`` file holds.  Nothing is embedded: the
+    stored postings are decoded and checked before any search can use
+    them."""
+    # numpy, which holds the index, loads before the JSON parse: loading
     # it after the parse measured a slower start-up
     import numpy  # noqa: F401
 
     record = read_json(path, BadManifest)
-    if not isinstance(record, dict) or record.get("schema") != CORPUS_SCHEMA:
+    schema = record.get("schema") if isinstance(record, dict) else None
+    if schema == "corpus/1":
+        raise BadManifest(
+            f"{path}: a 'corpus/1' file holds no index; rebuild it with `graphmem corpus build`"
+        )
+    if schema != CORPUS_SCHEMA:
         raise BadManifest(f"{path}: expected a {CORPUS_SCHEMA!r} file")
     items = _items_from_record(record, str(path))
     clip_len_s = record.get("clip_len_s")
@@ -445,9 +482,62 @@ def load_corpus(path: str | Path) -> Corpus:
         raise BadManifest(
             f"{path}: 'embed_seed' must be an integer in [0, 2**64), got {embed_seed!r}"
         )
-    return build_corpus(
-        items, clip_len_s=clip_len_s, embed_dim=embed_dim, embed_seed=embed_seed
+    units, first_unit = _layout(items, clip_len_s)
+    return Corpus(
+        items=items,
+        units=units,
+        first_unit=first_unit,
+        index=_read_postings(record.get("index"), embed_dim, len(items), str(path)),
+        embed_dim=embed_dim,
+        embed_seed=embed_seed,
+        clip_len_s=clip_len_s,
     )
+
+
+def _read_postings(stored: object, embed_dim: int, n_items: int, origin: str) -> Postings:
+    """The postings a corpus file stores, checked as ``_postings`` makes
+    them, since a file is untrusted input."""
+    import numpy as np
+
+    if not isinstance(stored, dict):
+        raise BadManifest(f"{origin}: 'index' must be an object of the postings arrays")
+    arrays = {}
+    for name, dtype in _INDEX_DTYPES.items():
+        text = stored.get(name)
+        try:
+            if not isinstance(text, str):
+                raise ValueError("not a string")
+            raw = binascii.a2b_base64(text, strict_mode=True)
+            # native dtypes, as _postings makes them
+            arrays[name] = np.frombuffer(raw, dtype=dtype).astype(
+                np.float64 if name == "vals" else np.intp, copy=False
+            )
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise BadManifest(
+                f"{origin}: index {name!r} must be base64 of whole {dtype} entries: {exc}"
+            ) from None
+    start, rows, vals = arrays["start"], arrays["rows"], arrays["vals"]
+
+    def bad(name: str, rule: str) -> BadManifest:
+        return BadManifest(f"{origin}: index {name!r} {rule}")
+
+    if len(start) != embed_dim + 1:
+        raise bad("start", f"must have embed_dim + 1 = {embed_dim + 1} entries, has {len(start)}")
+    if start[0] != 0 or np.any(start[1:] < start[:-1]):
+        raise bad("start", "must start at 0 and never fall")
+    if len(vals) != len(rows):
+        raise bad("vals", f"must have as many entries as 'rows' ({len(rows)}), has {len(vals)}")
+    if start[-1] != len(rows):
+        raise bad("start", f"must end at the length of 'rows' ({len(rows)}), ends at {start[-1]}")
+    if len(rows) and rows.max() >= n_items:
+        raise bad("rows", f"must be below the item count ({n_items})")
+    # in bucket order, each bucket's rows ascending: (bucket, row) strictly rises
+    keys = np.repeat(np.arange(embed_dim, dtype=np.int64), np.diff(start)) * n_items + rows
+    if np.any(keys[1:] <= keys[:-1]):
+        raise bad("rows", "must strictly ascend within each bucket")
+    if not np.all((vals > 0) & (vals < math.inf)):
+        raise bad("vals", "must be finite and > 0")
+    return Postings(start, rows, vals)
 
 
 def _is_int(value: object) -> bool:

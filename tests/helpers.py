@@ -8,9 +8,12 @@ vs. the numpy matrix path).
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import math
 import random
+import re
 import socket
 import struct
 import threading
@@ -542,3 +545,49 @@ def pure_python_topk(vectors: list[list[float]], query: list[float], k: int) -> 
         scored.append((round(-dot, 12), position))
     scored.sort()
     return [position for _, position in scored[:k]]
+
+
+# -- corpus file writer ---------------------------------------------------------
+
+
+def corpus_record(items: list[dict], *, clip_len_s=60.0, embed_dim: int = 16,
+                  embed_seed: int = 9157) -> dict:
+    """A ``corpus/2`` record of the item records and embedding settings,
+    with the index computed from the definitions: each item's hashed token
+    counts over its L2 norm, kept per bucket, each bucket's items in order,
+    stored as base64 of little-endian ``start`` int64, ``rows`` uint32 and
+    ``vals`` float64 entries.  A content that is not a string has no
+    tokens, so a record can carry an item the loader must refuse."""
+    postings: list[list[tuple[int, float]]] = [[] for _ in range(embed_dim)]
+    key = embed_seed.to_bytes(8, "big")
+    for row, item in enumerate(items):
+        content = item.get("content")
+        tokens = re.findall(r"[^\W_]+", content.casefold()) if isinstance(content, str) else []
+        counts: dict[int, int] = defaultdict(int)
+        for token in tokens:
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+            counts[int.from_bytes(digest, "big") % embed_dim] += 1
+        norm = math.sqrt(sum(count * count for count in counts.values()))
+        for bucket, count in counts.items():
+            postings[bucket].append((row, count / norm))
+    start = [0]
+    for bucket in postings:
+        start.append(start[-1] + len(bucket))
+    entries = [entry for bucket in postings for entry in bucket]
+    return {
+        "schema": "corpus/2",
+        "clip_len_s": clip_len_s,
+        "embed_dim": embed_dim,
+        "embed_seed": embed_seed,
+        "items": items,
+        "index": {
+            "start": pack_array("q", start),
+            "rows": pack_array("I", [row for row, _ in entries]),
+            "vals": pack_array("d", [val for _, val in entries]),
+        },
+    }
+
+
+def pack_array(code: str, values) -> str:
+    """Base64 of ``values`` as little-endian ``struct`` entries of ``code``."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")

@@ -17,7 +17,7 @@ from graphmem.canon import canonical_dumps
 from graphmem.cli import main
 from graphmem.config import Config, ConfigError, dump_config, load_config
 from graphmem.retrieval import CorpusItem, Modality, build_corpus, save_corpus, search
-from helpers import KeepAliveStub, chain_script, chat_reply
+from helpers import KeepAliveStub, chain_script, chat_reply, corpus_record, pack_array
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -658,13 +658,14 @@ BAD_INPUTS = {
         tmp, '{"entries": [{"query": "q", "gold_evidence_ids": [1]}]}'
     ),
     "corpus without header fields": lambda tmp: [
-        "serve", "--corpus", _write(tmp / "c.json", '{"schema": "corpus/1", "items": []}'),
+        "serve", "--corpus", _write(tmp / "c.json", json.dumps({
+            key: value for key, value in corpus_record([]).items()
+            if key not in ("clip_len_s", "embed_dim", "embed_seed")
+        })),
     ],
     "corpus embed_dim not an int": lambda tmp: [
         "serve", "--corpus", _write(
-            tmp / "c.json",
-            '{"schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": "x", '
-            '"embed_seed": 9157, "items": []}',
+            tmp / "c.json", json.dumps({**corpus_record([]), "embed_dim": "x"}),
         ),
     ],
     "queries line not JSON": lambda tmp: _run_batch(tmp, "not json\n"),
@@ -1108,22 +1109,27 @@ def test_serve_replies_equal_in_process_search(tmp_path):
             _stop_serve(proc)
 
 
-def test_serve_on_a_huge_embed_dim_is_one_bad_manifest_line(tmp_path):
-    """An ``embed_dim`` above 65536 is refused before the index is made,
-    not ended by numpy's allocation error."""
-    corpus_path = _write(
-        tmp_path / "c.json",
-        '{"schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": 1099511627776, '
-        '"embed_seed": 9157, "items": [{"id": "d", "modality": "text", "content": "x"}]}',
-    )
+def _serve_refusal(corpus_path: str) -> str:
+    """The one ``BadManifest`` line ``serve`` ends with on a corpus file it
+    refuses, run in a child process, since a corpus that loads would start
+    serving."""
     result = subprocess.run(
         [sys.executable, "-m", "graphmem.cli", "serve", "--corpus", corpus_path, "--port", "0"],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 1
+    assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error [BadManifest]: "), result.stderr
     assert result.stderr.count("\n") == 1, result.stderr
     assert result.stdout == ""
+    return result.stderr
+
+
+def test_serve_on_a_huge_embed_dim_is_one_bad_manifest_line(tmp_path):
+    """An ``embed_dim`` above 65536 is refused before the index is made,
+    not ended by numpy's allocation error."""
+    record = corpus_record([{"id": "d", "modality": "text", "content": "x"}])
+    _serve_refusal(_write(tmp_path / "c.json", json.dumps({**record, "embed_dim": 1099511627776})))
 
 
 @pytest.mark.parametrize(
@@ -1142,18 +1148,53 @@ def test_non_string_corpus_item_field_is_one_bad_manifest_line(tmp_path, capsys,
     assert err.count("\n") == 1
     assert not (tmp_path / "c.json").exists()
 
-    corpus_path = _write(tmp_path / "c.json", json.dumps({
-        "schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": 16, "embed_seed": 9157,
-        "items": [item],
-    }))
-    # in a child process: a corpus that loads would start serving
-    result = subprocess.run(
-        [sys.executable, "-m", "graphmem.cli", "serve", "--corpus", corpus_path, "--port", "0"],
-        capture_output=True, text=True, timeout=30,
-    )
-    assert result.returncode == 1
-    assert result.stderr.startswith("error [BadManifest]: "), result.stderr
-    assert result.stderr.count("\n") == 1, result.stderr
+    _serve_refusal(_write(tmp_path / "c.json", json.dumps(corpus_record([item]))))
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ({"a": 1}, "expected an object with an 'items' list"),
+        ("abc", "expected an object with an 'items' list"),
+        ([1], "items[0] must be an object, got 1"),
+        ([{"id": "d", "modality": "text", "content": "x"}, "d"],
+         "items[1] must be an object, got 'd'"),
+        ([{"id": "d", "content": "x"}], "items[0]: 'modality'"),
+    ],
+    ids=["an object", "a string", "an int entry", "a string entry", "an entry without modality"],
+)
+def test_items_not_a_list_of_objects_is_one_bad_manifest_line(tmp_path, capsys, items, message):
+    """``corpus build`` over a manifest and ``serve`` over a corpus file
+    refuse ``items`` that is not a list of objects, naming the entry."""
+    assert main(_build_from_manifest(tmp_path, json.dumps({"items": items}))) == 1
+    err = capsys.readouterr().err
+    assert err == f"error [BadManifest]: {tmp_path / 'manifests' / 'm.json'}: {message}\n"
+    assert not (tmp_path / "c.json").exists()
+
+    corpus_path = _write(tmp_path / "c.json", json.dumps({**corpus_record([]), "items": items}))
+    assert _serve_refusal(corpus_path) == f"error [BadManifest]: {corpus_path}: {message}\n"
+
+
+@pytest.mark.parametrize("target", ["missing", "a file"])
+def test_manifest_dir_not_a_directory_is_one_bad_manifest_line(tmp_path, capsys, target):
+    """``corpus build`` names a ``--manifest-dir`` that is not a directory,
+    rather than reporting that it found no items there."""
+    manifests = tmp_path / "none"
+    if target == "a file":
+        manifests = FIXTURES / "corpus" / "manifest.json"
+    argv = ["corpus", "build", "--manifest-dir", str(manifests), "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error [BadManifest]: {manifests}: not a directory\n"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_serve_on_a_bad_stored_index_is_one_bad_manifest_line(tmp_path):
+    """A stored index that breaks a rule ends ``serve`` with one line
+    naming the array, not a numpy traceback."""
+    record = corpus_record([{"id": "d", "modality": "text", "content": "x"}])
+    record["index"]["vals"] = pack_array("d", [float("nan")])
+    err = _serve_refusal(_write(tmp_path / "c.json", json.dumps(record)))
+    assert "index 'vals'" in err
 
 
 def test_serve_stops_on_sigterm_with_sigint_ignored():

@@ -1,6 +1,8 @@
+import base64
 import http.client
 import json
 import logging
+import math
 import random
 import socket
 import threading
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmem import retrieval
 from graphmem.canon import canonical_dumps
 from graphmem.retrieval import (
     BadClipLength,
@@ -32,7 +35,7 @@ from graphmem.retrieval import (
     segment_video,
 )
 from graphmem.server import MAX_BODY_BYTES, MAX_K, READ_TIMEOUT_S, make_search_server
-from helpers import pure_python_topk
+from helpers import corpus_record, pack_array, pure_python_topk
 
 
 class TestBuildCorpus:
@@ -398,8 +401,10 @@ class TestPostings:
                      f"w{rng.randrange(5000)}" for _ in range(12)))
                  for i in range(40)]
         path = tmp_path / "c.json"
-        save_corpus(build_corpus(items, embed_dim=65536), path)
+        built = build_corpus(items, embed_dim=65536)
+        save_corpus(built, path)
         corpus = load_corpus(path)
+        assert_same_postings(corpus.index, built.index)
         index = item_vectors(corpus)
         start = corpus.index.start
         assert start[-1] == np.count_nonzero(index)
@@ -455,6 +460,80 @@ class TestKeyframes:
         assert all(pair in obs.frames for pair in kept)
 
 
+def assert_same_postings(ours, theirs):
+    """Equal postings: the same arrays, bit for bit, of the same dtypes."""
+    for mine, other in zip(ours, theirs, strict=True):
+        assert mine.dtype == other.dtype
+        assert mine.tobytes() == other.tobytes()
+
+
+# five texts over 5 buckets: postings start [0, 3, 5, 5, 8, 10], so bucket 0
+# holds three rows, bucket 2 none, and the rows fall from bucket to bucket
+FAULT_ITEMS = [
+    {"id": f"d{i}", "modality": "text", "content": content}
+    for i, content in enumerate(["red car", "blue sky", "car sky red", "dusk", "sky at dusk"])
+]
+INDEX_CODES = {"start": ("<i8", "q"), "rows": ("<u4", "I"), "vals": ("<f8", "d")}
+
+
+def fault_base_record() -> dict:
+    return corpus_record(FAULT_ITEMS, embed_dim=5)
+
+
+def unpack(record: dict, name: str) -> list:
+    return np.frombuffer(base64.b64decode(record["index"][name]), INDEX_CODES[name][0]).tolist()
+
+
+def decoded(name: str, change):
+    """A fault in the entries of one stored array."""
+    def fault(record):
+        record["index"][name] = pack_array(INDEX_CODES[name][1], change(unpack(record, name)))
+    return fault
+
+
+def encoded(name: str, change):
+    """A fault in the stored text of one array."""
+    def fault(record):
+        record["index"][name] = change(record["index"][name])
+    return fault
+
+
+def put(pos: int, value):
+    return lambda values: values[:pos] + [value] + values[pos + 1:]
+
+
+INDEX_FAULTS = {
+    "start one entry short": ("start", decoded("start", lambda a: a[:-1])),
+    "start one entry long": ("start", decoded("start", lambda a: a + [a[-1]])),
+    "start above 0": ("start", decoded("start", put(0, 1))),
+    "start falls": ("start", decoded("start", put(2, 6))),
+    "start ends before the rows": ("start", decoded("start", put(5, 9))),
+    "vals shorter than rows": ("vals", decoded("vals", lambda a: a[:-1])),
+    "row at the item count": ("rows", decoded("rows", put(9, 5))),
+    "row repeated in a bucket": ("rows", decoded("rows", put(1, 0))),
+    "rows fall in a bucket": ("rows", decoded("rows", lambda a: [a[1], a[0]] + a[2:])),
+    "val zero": ("vals", decoded("vals", put(3, 0.0))),
+    "val negative": ("vals", decoded("vals", put(3, -0.5))),
+    "val nan": ("vals", decoded("vals", put(3, math.nan))),
+    "val inf": ("vals", decoded("vals", put(3, math.inf))),
+    **{
+        f"{name} {fault}": (name, encoded(name, change))
+        for name in INDEX_CODES
+        for fault, change in [
+            ("holds a non-base64 character", lambda text: text[:4] + "*" + text[4:]),
+            ("holds a line break", lambda text: text[:4] + "\n" + text[4:]),
+            ("has data after padding", lambda text: text.rstrip("=") + "==AAAA"),
+            ("has a partial entry",
+             lambda text: base64.b64encode(base64.b64decode(text) + b"\0\0").decode()),
+            ("not a string", lambda text: [0]),
+        ]
+    },
+    "vals missing": ("vals", lambda record: record["index"].pop("vals")),
+    "index missing": ("index", lambda record: record.pop("index")),
+    "index a list": ("index", lambda record: record.update(index=list(record["index"]))),
+}
+
+
 class TestPersistence:
     def test_manifest_round_trip(self, tmp_path):
         manifest = {
@@ -508,9 +587,9 @@ class TestPersistence:
             save_corpus(reloaded, path2)
             assert path1.read_bytes() == path2.read_bytes()
             assert reloaded.units == corpus.units
+            assert reloaded.first_unit == corpus.first_unit
             assert reloaded.clip_len_s == corpus.clip_len_s
-            for ours, theirs in zip(reloaded.index, corpus.index, strict=True):
-                assert np.array_equal(ours, theirs)
+            assert_same_postings(reloaded.index, corpus.index)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -535,8 +614,7 @@ class TestPersistence:
         ],
     )
     def test_bad_corpus_header(self, tmp_path, field, value):
-        record = {"schema": "corpus/1", "clip_len_s": 60.0, "embed_dim": 16,
-                  "embed_seed": 2**64 - 1, "items": []}
+        record = corpus_record([], clip_len_s=60.0, embed_dim=16, embed_seed=2**64 - 1)
         if value is None:
             del record[field]
         else:
@@ -548,12 +626,77 @@ class TestPersistence:
 
     def test_corpus_header_bounds_accepted(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"schema": "corpus/1", "clip_len_s": 30, "embed_dim": 1,
-                                    "embed_seed": 2**64 - 1, "items": []}), encoding="utf-8")
+        path.write_text(json.dumps(corpus_record([], clip_len_s=30, embed_dim=1,
+                                                 embed_seed=2**64 - 1)), encoding="utf-8")
         corpus = load_corpus(path)
         assert corpus.index.start.tolist() == [0, 0]
         assert corpus.index.rows.size == corpus.index.vals.size == 0
         assert corpus.first_unit == [0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mixed_items(),
+        st.one_of(st.integers(min_value=1, max_value=64),
+                  st.integers(min_value=1, max_value=65536), st.just(65536)),
+    )
+    def test_saved_postings_load_as_built(self, tmp_path_factory, items, embed_dim):
+        """Save then load gives the postings the build made, array for
+        array, bit for bit and with the same dtypes, for corpora of videos,
+        no-token and duplicate captions at any ``embed_dim``."""
+        built = build_corpus(items, clip_len_s=60.0, embed_dim=embed_dim)
+        path = tmp_path_factory.mktemp("corpus") / "c.json"
+        save_corpus(built, path)
+        loaded = load_corpus(path)
+        assert_same_postings(loaded.index, built.index)
+        assert (loaded.units, loaded.first_unit) == (built.units, built.first_unit)
+
+    def test_load_embeds_nothing(self, tmp_path, toy_corpus, monkeypatch):
+        """A load reads the stored postings: with no way to embed or hash a
+        token, it still gives the built corpus."""
+        path = tmp_path / "c.json"
+        save_corpus(toy_corpus, path)
+
+        def refuse(*args):
+            raise AssertionError("a load embedded")
+
+        monkeypatch.setattr(retrieval, "embed", refuse)
+        monkeypatch.setattr(retrieval, "_bucket", refuse)
+        loaded = load_corpus(path)
+        assert_same_postings(loaded.index, toy_corpus.index)
+        assert loaded.units == toy_corpus.units
+
+    @pytest.mark.parametrize("with_index", [False, True], ids=["as-written", "with-an-index"])
+    def test_corpus_1_file_is_refused(self, tmp_path, with_index):
+        """A ``corpus/1`` file is refused, index or not, with word to rebuild."""
+        record = {**corpus_record([{"id": "d", "modality": "text", "content": "x"}]),
+                  "schema": "corpus/1"}
+        if not with_index:
+            del record["index"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(BadManifest, match="rebuild it with `graphmem corpus build`"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("case", sorted(INDEX_FAULTS))
+    def test_bad_stored_index(self, tmp_path, case):
+        """Each broken rule of the stored postings is a ``BadManifest``
+        naming the array, raised before any search can use it."""
+        name, fault = INDEX_FAULTS[case]
+        record = fault_base_record()
+        assert unpack(record, "start") == [0, 3, 5, 5, 8, 10]  # the shape the cases rely on
+        fault(record)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(BadManifest, match=f"'{name}'"):
+            load_corpus(path)
+
+    def test_fault_base_record_loads(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(fault_base_record()), encoding="utf-8")
+        built = build_corpus(
+            [CorpusItem.from_dict(item) for item in FAULT_ITEMS], embed_dim=5
+        )
+        assert_same_postings(load_corpus(path).index, built.index)
 
 
 def post_json(address, path: str, body) -> tuple[int, dict]:
