@@ -20,7 +20,6 @@ so importing graphmem leaves it unloaded.
 from __future__ import annotations
 
 import base64
-import binascii
 import functools
 import hashlib
 import itertools
@@ -507,12 +506,16 @@ def _read_postings(stored: object, embed_dim: int, n_items: int, origin: str) ->
         try:
             if not isinstance(text, str):
                 raise ValueError("not a string")
-            raw = binascii.a2b_base64(text, strict_mode=True)
+            raw = base64.b64decode(text)
+            # strict: only the one text b64encode writes for these bytes, so
+            # no stray character, line end, data after padding or spare bit
+            if base64.b64encode(raw).decode("ascii") != text:
+                raise ValueError("not canonical base64")
             # native dtypes, as _postings makes them
             arrays[name] = np.frombuffer(raw, dtype=dtype).astype(
                 np.float64 if name == "vals" else np.intp, copy=False
             )
-        except ValueError as exc:  # binascii.Error is a ValueError
+        except ValueError as exc:  # base64 raises binascii.Error, a ValueError
             raise BadManifest(
                 f"{origin}: index {name!r} must be base64 of whole {dtype} entries: {exc}"
             ) from None

@@ -1109,13 +1109,13 @@ def test_serve_replies_equal_in_process_search(tmp_path):
             _stop_serve(proc)
 
 
-def _serve_refusal(corpus_path: str) -> str:
+def _serve_refusal(corpus_path: str, timeout: float = 60) -> str:
     """The one ``BadManifest`` line ``serve`` ends with on a corpus file it
     refuses, run in a child process, since a corpus that loads would start
     serving."""
     result = subprocess.run(
         [sys.executable, "-m", "graphmem.cli", "serve", "--corpus", corpus_path, "--port", "0"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=timeout,
     )
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
@@ -1148,7 +1148,7 @@ def test_non_string_corpus_item_field_is_one_bad_manifest_line(tmp_path, capsys,
     assert err.count("\n") == 1
     assert not (tmp_path / "c.json").exists()
 
-    _serve_refusal(_write(tmp_path / "c.json", json.dumps(corpus_record([item]))))
+    _serve_refusal(_write(tmp_path / "c.json", json.dumps(corpus_record([item]))), timeout=30)
 
 
 @pytest.mark.parametrize(

@@ -498,6 +498,15 @@ def encoded(name: str, change):
     return fault
 
 
+def flip_spare_bit(text: str) -> str:
+    """The same bytes in a non-canonical text: the lowest bit of the last
+    digit before the padding is a spare bit, zero when canonical."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    data = text.rstrip("=")
+    digit = alphabet[alphabet.index(data[-1]) ^ 1]
+    return data[:-1] + digit + text[len(data):]
+
+
 def put(pos: int, value):
     return lambda values: values[:pos] + [value] + values[pos + 1:]
 
@@ -527,6 +536,10 @@ INDEX_FAULTS = {
              lambda text: base64.b64encode(base64.b64decode(text) + b"\0\0").decode()),
             ("not a string", lambda text: [0]),
         ]
+    },
+    **{
+        f"{name} has non-zero spare bits": (name, encoded(name, flip_spare_bit))
+        for name in ("rows", "vals")  # the padded ones: 40 and 80 bytes
     },
     "vals missing": ("vals", lambda record: record["index"].pop("vals")),
     "index missing": ("index", lambda record: record.pop("index")),
