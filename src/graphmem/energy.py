@@ -12,8 +12,10 @@ proportion to their reinforced scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .canon import Record
@@ -151,6 +153,7 @@ def normalize_priority(priority: int) -> float:
 
 # normalize_priority of each priority score, looked up per item while scoring
 _PRIORITY_WEIGHT = {priority: normalize_priority(priority) for priority in range(1, 6)}
+_SLOT = attrgetter("slot")
 
 
 def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport:
@@ -167,35 +170,46 @@ def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport
     An item's intrinsic value is ``normalize_priority(priority) *
     (1 + out_degree) * exp(-lambda_decay * age)``, multiplied in that order;
     the last two factors are the same for every item of a node, so they are
-    computed once per node.
+    computed once per node.  Sums add left to right, not with ``sum()``,
+    which compensates float rounding from Python 3.12 on: the scores are the
+    same bits on every supported Python.
     """
     children: list[list[int]] = [[] for _ in graph.nodes]
     for node in graph.nodes:
         for parent in node.parent_indices:
             children[parent].append(node.index)
 
-    by_owner: dict[int, list[VisualItem]] = {}
+    by_owner: defaultdict[int, list[VisualItem]] = defaultdict(list)
     for item in graph.memory_bank:
         if item.saliency == 1:
-            by_owner.setdefault(item.owner_node, []).append(item)
+            by_owner[item.owner_node].append(item)
 
     intrinsic: dict[int, float] = {}
     total: dict[int, float] = {}
     node_mean: dict[int, float] = {}
     for node in reversed(graph.nodes):
-        feedback = params.gamma_feedback * sum(
-            node_mean[child] for child in children[node.index]
-        )
-        factor = 1 + len(children[node.index])
+        node_children = children[node.index]
+        feedback = 0
+        for child in node_children:
+            feedback += node_mean[child]
+        feedback = params.gamma_feedback * feedback
+        # a float, so that each product below multiplies two floats; the
+        # integer converts exactly, so the bits are the same
+        factor = 1.0 + len(node_children)
         decay = math.exp(-params.lambda_decay * (graph.step - node.created_step))
-        omegas = []
-        for item in sorted(by_owner.get(node.index, []), key=lambda it: it.slot):
+        owned = by_owner.get(node.index)
+        if not owned:
+            node_mean[node.index] = 0.0
+            continue
+        owned.sort(key=_SLOT)
+        omega_sum = 0
+        for item in owned:
             base = _PRIORITY_WEIGHT[item.priority] * factor * decay
             omega = base + feedback
             intrinsic[item.ordinal] = base
             total[item.ordinal] = omega
-            omegas.append(omega)
-        node_mean[node.index] = sum(omegas) / len(omegas) if omegas else 0.0
+            omega_sum += omega
+        node_mean[node.index] = omega_sum / len(owned)
     return EnergyReport(intrinsic, total, node_mean, graph.step)
 
 
@@ -262,18 +276,34 @@ def shape_memory(graph: "MemoryGraph", params: EnergyParams) -> BudgetAssignment
     reproduces the same assignment.
     """
     bank = graph.memory_bank
+    live = []
     for item in bank:
-        if item.saliency == 0 and not item.dropped:
-            bank[item.ordinal] = replace(item, dropped=True, allocated_budget=0)
+        if item.dropped:
+            continue
+        if item.saliency == 0:
+            bank[item.ordinal] = _with_budget(item, 0, True)
+        else:
+            live.append(item)
 
     report = recursive_energy(graph, params)
-    live = [item for item in bank if not item.dropped]
     retained = select_top_k(report, params, live)
     assignment = allocate_budget(retained, report, params)
 
+    budgets = assignment.budgets
     for item in live:
-        if item.ordinal in assignment.budgets:
-            bank[item.ordinal] = replace(item, allocated_budget=assignment.budgets[item.ordinal])
+        budget = budgets.get(item.ordinal)
+        if budget is None:
+            bank[item.ordinal] = _with_budget(item, 0, True)
         else:
-            bank[item.ordinal] = replace(item, dropped=True, allocated_budget=0)
+            bank[item.ordinal] = _with_budget(item, budget, item.dropped)
     return assignment
+
+
+def _with_budget(item: VisualItem, budget: int, dropped: bool) -> VisualItem:
+    """``item`` with a new budget and dropped flag, every other field the
+    same object, built by the constructor (``dataclasses.replace`` costs
+    several times more)."""
+    return VisualItem(
+        item.ordinal, item.owner_node, item.slot, item.modality, item.payload_ref,
+        item.saliency, item.priority, item.source_timestamp_s, budget, dropped,
+    )

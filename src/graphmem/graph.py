@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import is_
+from operator import attrgetter, is_
 from typing import Iterable, Sequence
 
 from .canon import Record, canonical_dumps, json_escape, normalize_text
@@ -22,7 +22,7 @@ from .errors import DomainError
 GRAPH_SCHEMA = "memory-graph/1"
 ROOT_TITLE = "root"
 # linearize's cache entry for a node position it has not rendered yet
-_NO_LINE = (None, (), "", "", (), "", "")
+_NO_LINE = (None, (), None, (), "", "")
 
 
 class GraphError(DomainError):
@@ -79,6 +79,11 @@ class NodeKind(str, Enum):
     ANSWER = "answer"
 
 
+# the members, bound once: reading one off the class costs ten times more,
+# and the per-node loops below read them for every node
+_ROOT, _SEARCH, _ANSWER = NodeKind.ROOT, NodeKind.SEARCH, NodeKind.ANSWER
+
+
 @dataclass(frozen=True)
 class MemoryNode(Record):
     """One epistemic state: where it hangs (parents), what was asked (query),
@@ -104,13 +109,14 @@ class MemoryGraph:
     memory_bank: list[VisualItem] = field(default_factory=list)
     step: int = 0
     # linearize's reusable output, holding the records it was rendered from:
-    # node position -> (node, parent nodes, text before the item fragments,
-    # text after them, items, line, the line JSON-escaped), bank position ->
-    # (item, fragment), and its last text with the JSON escapes of its lines
+    # node position -> (node, parent nodes, the text before and after the
+    # item fragments and their JSON escapes, items, line, the line
+    # JSON-escaped), bank position -> (item, fragment, the fragment
+    # JSON-escaped), and its last text with the JSON escapes of its lines
     _node_lines: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _item_lines: dict[int, tuple[VisualItem, str]] = field(
+    _item_lines: dict[int, tuple[VisualItem, str, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _escaped: tuple[str | None, Sequence[str]] = field(
@@ -121,7 +127,7 @@ class MemoryGraph:
 
     @property
     def is_terminal(self) -> bool:
-        return any(node.kind is NodeKind.ANSWER for node in self.nodes)
+        return any(node.kind is _ANSWER for node in self.nodes)
 
     def node_at(self, index: int) -> MemoryNode:
         if not 0 <= index < len(self.nodes):
@@ -137,7 +143,7 @@ class MemoryGraph:
     def critical_path(self) -> set[int]:
         """Indices of all nodes with a directed path to the answer node,
         answer included.  Empty when no answer node exists."""
-        answer = next((n for n in self.nodes if n.kind is NodeKind.ANSWER), None)
+        answer = next((n for n in self.nodes if n.kind is _ANSWER), None)
         if answer is None:
             return set()
         reached = {answer.index}
@@ -155,7 +161,7 @@ class MemoryGraph:
         seen: set[str] = set()
         duplicates = 0
         for node in self.nodes:
-            if node.kind is not NodeKind.SEARCH:
+            if node.kind is not _SEARCH:
                 continue
             key = normalize_text(node.query)
             if key in seen:
@@ -184,8 +190,12 @@ class MemoryGraph:
         otherwise it is assembled from the node's own fields and the item
         fragments, equal byte for byte to the canonical dump of its whole
         record.  Shaping replaces only the live top-K items and eviction is
-        permanent, so most nodes of a deep graph stop changing.  Each line
-        is JSON-escaped when it is assembled, for :meth:`escaped_text`.
+        permanent, so most nodes of a deep graph stop changing.  A fragment
+        whose item differs from the one it was rendered from only in budget
+        and dropped flag keeps its text after those two keys.  Each line's
+        JSON escape, for :meth:`escaped_text`, is joined from the escapes of
+        its parts, which are kept beside them; JSON escapes each character
+        on its own, so that equals escaping the whole line.
         """
         header = canonical_dumps(
             {
@@ -199,27 +209,33 @@ class MemoryGraph:
         lines, escaped = [header], [json_escape(header)]
         nodes, bank = self.nodes, self.memory_bank
         node_lines, item_lines = self._node_lines, self._item_lines
+        node_at, item_at = nodes.__getitem__, bank.__getitem__
         for position, node in enumerate(nodes):
-            parents = [nodes[p] for p in sorted(node.parent_indices)]
-            items = [bank[k] for k in node.items] if node.kind is NodeKind.SEARCH else []
-            cached, cached_parents, head, tail, cached_items, line, escaped_line = (
+            refs = node.items if node.kind is _SEARCH else ()
+            cached, cached_parents, parts, cached_items, line, escaped_line = (
                 node_lines.get(position, _NO_LINE)
             )
             # pairwise checks suffice: the same node has as many parents and
             # items as when it was cached
-            same_node = cached is node and all(map(is_, cached_parents, parents))
-            if not same_node:
-                head, tail = _node_parts(node, [parent.title for parent in parents])
-            if not same_node or not all(map(is_, cached_items, items)):
-                fragments = []
-                for k, item in zip(node.items, items):
+            same_node = cached is node and all(
+                map(is_, cached_parents, map(node_at, sorted(node.parent_indices)))
+            )
+            if not same_node or not all(map(is_, cached_items, map(item_at, refs))):
+                parents = [nodes[p] for p in sorted(node.parent_indices)]
+                items = [bank[k] for k in refs]
+                if not same_node:
+                    parts = _node_parts(node, [parent.title for parent in parents])
+                fragments, escaped_fragments = [], []
+                for k, item in zip(refs, items):
                     entry = item_lines.get(k)
                     if entry is None or entry[0] is not item:
-                        entry = item_lines[k] = (item, canonical_dumps(_item_record(item)))
+                        entry = item_lines[k] = _item_entry(item, entry)
                     fragments.append(entry[1])
+                    escaped_fragments.append(entry[2])
+                head, tail, escaped_head, escaped_tail = parts
                 line = head + ",".join(fragments) + tail
-                escaped_line = json_escape(line)
-                node_lines[position] = (node, parents, head, tail, items, line, escaped_line)
+                escaped_line = escaped_head + ",".join(escaped_fragments) + escaped_tail
+                node_lines[position] = (node, parents, parts, items, line, escaped_line)
             lines.append(line)
             escaped.append(escaped_line)
         text = "\n".join(lines) + "\n"
@@ -263,7 +279,7 @@ class MemoryGraph:
         if self.is_terminal:
             raise GraphTerminal("graph already has an answer node")
         node = self.node_at(index)
-        if node.kind is not NodeKind.SEARCH:
+        if node.kind is not _SEARCH:
             raise NotASearchNode(f"node {index} is a {node.kind.value} node")
         if node.populated:
             raise AlreadyPopulated(f"node {index} was already populated")
@@ -291,8 +307,8 @@ class MemoryGraph:
                     f"item {item.ordinal} of node {item.owner_node} is not item {ordinal} "
                     f"of node {node.index}"
                 )
-        refs = [self.append_item(item) for item in items]
-        self.populate_node(node.index, summary, refs)
+        self.memory_bank.extend(items)
+        self.populate_node(node.index, summary, [item.ordinal for item in items])
 
     def add_answer_node(self, parent_titles: Iterable[str], answer: str) -> int:
         if self.is_terminal:
@@ -329,42 +345,48 @@ class MemoryGraph:
     def validate(self) -> None:
         """Assert the structural invariants; raises CorruptGraph on any
         violation.  Runs after every mutation and on load."""
-        if not self.nodes or self.nodes[0].kind is not NodeKind.ROOT:
+        nodes, bank = self.nodes, self.memory_bank
+        if not nodes or nodes[0].kind is not _ROOT:
             raise CorruptGraph("node 0 must be the root")
         answers = 0
         titles: set[str] = set()
         max_created = 0
-        for position, node in enumerate(self.nodes):
+        bank_size = len(bank)
+        for position, node in enumerate(nodes):
+            kind, parents = node.kind, node.parent_indices
             if node.index != position:
                 raise CorruptGraph(f"node index {node.index} at position {position}")
-            if node.kind is NodeKind.ROOT and position != 0:
+            if kind is _ROOT and position != 0:
                 raise CorruptGraph("root must be unique and at index 0")
-            if node.kind is NodeKind.ANSWER:
+            if kind is _ANSWER:
                 answers += 1
-            if node.parent_indices and max(node.parent_indices) >= node.index:
-                raise CorruptGraph(f"node {node.index} has a parent at or above its own index")
-            if min(node.parent_indices, default=0) < 0:
-                raise CorruptGraph(f"node {node.index} has a negative parent index")
-            if node.kind is NodeKind.ROOT and node.parent_indices:
+            if parents:
+                if max(parents) >= node.index:
+                    raise CorruptGraph(f"node {node.index} has a parent at or above its own index")
+                if min(parents) < 0:
+                    raise CorruptGraph(f"node {node.index} has a negative parent index")
+            if kind is _ROOT and parents:
                 raise CorruptGraph("root must have no parents")
-            if node.kind is not NodeKind.ROOT and not node.parent_indices:
+            if kind is not _ROOT and not parents:
                 raise CorruptGraph(f"node {node.index} must have at least one parent")
-            if node.kind is not NodeKind.ANSWER:
+            if kind is not _ANSWER:
                 if node.title in titles:
                     raise CorruptGraph(f"duplicate title {node.title!r}")
                 titles.add(node.title)
-            max_created = max(max_created, node.created_step)
+            if node.created_step > max_created:
+                max_created = node.created_step
             for ref in node.items:
-                if not 0 <= ref < len(self.memory_bank):
+                if not 0 <= ref < bank_size:
                     raise CorruptGraph(f"node {node.index} references missing item {ref}")
         if answers > 1:
             raise CorruptGraph("at most one answer node is allowed")
         if self.step < max_created:
             raise CorruptGraph("graph step is behind a node creation step")
-        for position, item in enumerate(self.memory_bank):
+        node_count = len(nodes)
+        for position, item in enumerate(bank):
             if item.ordinal != position:
                 raise CorruptGraph(f"bank item ordinal {item.ordinal} at position {position}")
-            if not 0 <= item.owner_node < len(self.nodes):
+            if not 0 <= item.owner_node < node_count:
                 raise CorruptGraph(f"bank item {position} has unknown owner {item.owner_node}")
 
     # -- persistence ---------------------------------------------------------
@@ -399,26 +421,29 @@ class MemoryGraph:
         return graph
 
 
-def _node_parts(node: MemoryNode, parent_titles: list[str]) -> tuple[str, str]:
-    """A node's line without its item fragments.  For a search node, the
-    text before and after the contents of its ``items`` list; "items"
-    sorts between "index" and "kind", so the line is two canonical dumps
-    spliced around the list.  For any other node, the whole line and ""."""
+def _node_parts(node: MemoryNode, parent_titles: list[str]) -> tuple[str, str, str, str]:
+    """A node's line without its item fragments, and its JSON escape.  For a
+    search node, the text before and after the contents of its ``items``
+    list; "items" sorts between "index" and "kind", so the line is two
+    canonical dumps spliced around the list.  For any other node, the whole
+    line and "".  Then the JSON escapes of those two."""
     record: dict = {
         "kind": node.kind.value,
         "title": node.title,
         "parents": parent_titles,
     }
-    if node.kind is NodeKind.SEARCH:
+    if node.kind is _SEARCH:
         record.update(query=node.query, populated=node.populated, summary=node.summary)
         head = canonical_dumps({"created_step": node.created_step, "index": node.index})
-        return head[:-1] + ',"items":[', "]," + canonical_dumps(record)[1:]
-    record.update(index=node.index, created_step=node.created_step)
-    if node.kind is NodeKind.ROOT:
-        record["query"] = node.query
+        head, tail = head[:-1] + ',"items":[', "]," + canonical_dumps(record)[1:]
     else:
-        record["answer"] = node.answer_text
-    return canonical_dumps(record), ""
+        record.update(index=node.index, created_step=node.created_step)
+        if node.kind is _ROOT:
+            record["query"] = node.query
+        else:
+            record["answer"] = node.answer_text
+        head, tail = canonical_dumps(record), ""
+    return head, tail, json_escape(head), json_escape(tail)
 
 
 def _item_record(item: VisualItem) -> dict:
@@ -435,6 +460,48 @@ def _item_record(item: VisualItem) -> dict:
     if item.source_timestamp_s is not None:
         record["ts"] = item.source_timestamp_s
     return record
+
+
+# the first two keys of an item's fragment, the two that shaping rewrites,
+# as they stand in the fragment and in its JSON escape
+_SHAPED_KEYS = '{"budget":%d,"dropped":%s'
+_ESCAPED_SHAPED_KEYS = json_escape(_SHAPED_KEYS)
+# the other fields of an item
+_UNSHAPED = attrgetter(
+    "ordinal", "owner_node", "slot", "modality", "payload_ref", "saliency", "priority",
+    "source_timestamp_s",
+)
+
+
+def _item_entry(item: VisualItem, cached: tuple | None) -> tuple[VisualItem, str, str]:
+    """linearize's cache entry for a bank item: the item, its fragment and
+    the fragment JSON-escaped.  ``cached`` is the entry of the item that
+    held the bank position before, if any.  Shaping replaces an item by one
+    that differs only in ``allocated_budget`` and ``dropped``, whose keys
+    sort first; then only those two are rendered and the rest of the cached
+    text is reused.  That takes every other field to be the same object,
+    and both items to hold the two as an ``int`` and a ``bool`` exactly:
+    a budget of ``True`` renders as ``true``."""
+    if cached is not None:
+        old, fragment, escaped = cached
+        values, old_values = _shaped_values(item), _shaped_values(old)
+        if values and old_values and all(map(is_, _UNSHAPED(old), _UNSHAPED(item))):
+            return (
+                item,
+                _SHAPED_KEYS % values + fragment[len(_SHAPED_KEYS % old_values):],
+                _ESCAPED_SHAPED_KEYS % values + escaped[len(_ESCAPED_SHAPED_KEYS % old_values):],
+            )
+    fragment = canonical_dumps(_item_record(item))
+    return item, fragment, json_escape(fragment)
+
+
+def _shaped_values(item: VisualItem) -> tuple[int, str] | None:
+    """The budget and dropped flag as ``_SHAPED_KEYS`` renders them, or None
+    unless they are an ``int`` and a ``bool`` exactly."""
+    budget, dropped = item.allocated_budget, item.dropped
+    if type(budget) is int and type(dropped) is bool:
+        return budget, "true" if dropped else "false"
+    return None
 
 
 def new_graph(root_query: str) -> MemoryGraph:

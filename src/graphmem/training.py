@@ -221,7 +221,11 @@ def group_advantage(rewards: Sequence[int]) -> list[float]:
         if reward not in (0, 1):
             raise TrainingError(f"rewards must be binary, got {reward!r}")
     mean = sum(rewards) / len(rewards)
-    variance = sum((r - mean) ** 2 for r in rewards) / len(rewards)
+    # added left to right: sum() of floats rounds differently from Python 3.12
+    variance = 0
+    for reward in rewards:
+        variance += (reward - mean) ** 2
+    variance /= len(rewards)
     std = max(math.sqrt(variance), ADVANTAGE_STD_FLOOR)
     return [(r - mean) / std for r in rewards]
 

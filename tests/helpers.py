@@ -27,6 +27,8 @@ from graphmem.energy import (
     ItemModality,
     VisualItem,
     normalize_priority,
+    recursive_energy,
+    shape_memory,
 )
 from graphmem.graph import MemoryGraph, NodeKind, new_graph
 from graphmem.protocol import (
@@ -118,7 +120,9 @@ def per_item_energy(
     """Intrinsic and reinforced scores with every float operation in the
     order of the per-item formulation: nodes bottom-up, each node's items
     in slot order, and for each item normalize_priority(p) * (1 +
-    out_degree) * exp(-lambda * age), with the decay computed per item."""
+    out_degree) * exp(-lambda * age), with the decay computed per item.
+    Sums add left to right, as on every Python before 3.12's compensated
+    ``sum()``."""
     children: dict[int, list[int]] = defaultdict(list)
     for node in graph.nodes:
         for parent in node.parent_indices:
@@ -127,7 +131,10 @@ def per_item_energy(
     total: dict[int, float] = {}
     node_mean: dict[int, float] = {}
     for node in reversed(graph.nodes):
-        feedback = params.gamma_feedback * sum(node_mean[c] for c in children[node.index])
+        feedback = 0.0
+        for child in children[node.index]:
+            feedback += node_mean[child]
+        feedback *= params.gamma_feedback
         owned = sorted(
             (it for it in graph.memory_bank if it.owner_node == node.index and it.saliency == 1),
             key=lambda it: it.slot,
@@ -142,7 +149,10 @@ def per_item_energy(
             intrinsic[item.ordinal] = base
             total[item.ordinal] = base + feedback
             omegas.append(base + feedback)
-        node_mean[node.index] = sum(omegas) / len(omegas) if omegas else 0.0
+        omega_sum = 0.0
+        for omega in omegas:
+            omega_sum += omega
+        node_mean[node.index] = omega_sum / len(omegas) if omegas else 0.0
     return intrinsic, total
 
 
@@ -235,6 +245,26 @@ def random_graph_with_items(
             refs.append(graph.append_item(item))
         graph.populate_node(index, f"summary {index}", refs)
     return graph
+
+
+def shaping_fingerprint(seeds) -> list:
+    """For each seed, a random graph (up to 30 nodes, 6 items per node and 3
+    parents) shaped under random ``top_k`` and ``gamma_feedback``: the seed,
+    the assignment record, and every reinforced score as ``float.hex``.
+    Needs no numpy, so any supported Python can run it without one."""
+    fingerprint = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        params = EnergyParams(
+            top_k=rng.randint(1, 6), gamma_feedback=rng.choice([0.3, 0.5, 0.7, 0.9])
+        )
+        graph = random_graph_with_items(rng, max_nodes=30, max_items_per_node=6, max_parents=3)
+        scores = recursive_energy(graph, params).total
+        assignment = shape_memory(graph, params)
+        fingerprint.append(
+            [seed, assignment.to_dict(), [[k, v.hex()] for k, v in sorted(scores.items())]]
+        )
+    return fingerprint
 
 
 def random_action(rng: random.Random):

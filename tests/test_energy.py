@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +34,14 @@ from helpers import (
     naive_omega,
     per_item_energy,
     random_graph_with_items,
+    shaping_fingerprint,
 )
+
+TESTS = Path(__file__).parent
+OTHER_PYTHONS = ("python3.10", "python3.12", "python3.13")
+# seeds 253, 1347, 2989 and 5445 gave other budgets on 3.12 before sums
+# were written left to right; about half of all seeds gave other scores
+CROSS_SEEDS = (*range(40), 253, 1347, 2201, 2989, 5445)
 
 
 def chain_graph():
@@ -403,3 +414,44 @@ class TestShaping:
         assignment = shape_memory(g, params)
         assert g.memory_bank[1].dropped
         assert assignment.retained == (0,)
+
+
+def _runnable_pythons() -> list[str]:
+    """The paths of the OTHER_PYTHONS on PATH that start (a version manager's
+    shim may be on PATH for a version it will not run)."""
+    found = []
+    for name in OTHER_PYTHONS:
+        path = shutil.which(name)
+        if path is None:
+            continue
+        probe = subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60)
+        if probe.returncode == 0:
+            found.append(path)
+    return found
+
+
+def test_other_pythons_import_the_cli_and_shape_the_same_bits():
+    """Each other supported Python found on PATH imports ``graphmem.cli``
+    (numpy is imported only where an index is built or searched), and
+    shapes seeded random graphs into the same assignments and the same
+    score bits as this one: float sums add left to right, where ``sum()``
+    rounds differently from 3.12 on."""
+    pythons = _runnable_pythons()
+    if not pythons:
+        pytest.skip("no python3.10, python3.12 or python3.13 on PATH")
+    code = (
+        "import json, sys; import graphmem.cli; sys.path.insert(0, sys.argv[1]); "
+        "from helpers import shaping_fingerprint; "
+        f"print(json.dumps(shaping_fingerprint({list(CROSS_SEEDS)})))"
+    )
+    expected = json.loads(json.dumps(shaping_fingerprint(CROSS_SEEDS)))
+    env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+    for path in pythons:
+        result = subprocess.run(
+            [path, "-c", code, str(TESTS)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, f"{path}: {result.stderr}"
+        got = json.loads(result.stdout)
+        assert [entry[0] for entry in got] == list(CROSS_SEEDS)
+        differ = [mine[0] for mine, theirs in zip(expected, got) if mine != theirs]
+        assert not differ, f"{path} shapes seeds {differ} differently"

@@ -367,7 +367,9 @@ class TestLinearize:
                 if ts is not None:
                     changes["source_timestamp_s"] = int(ts) if type(ts) is float else float(ts)
                 items[k] = dataclasses.replace(items[k], **changes)
-            assert g.linearize() == MemoryGraph.from_dict(g.to_dict()).linearize()
+            text = g.linearize()
+            assert text == MemoryGraph.from_dict(g.to_dict()).linearize()
+            assert g.escaped_text(text) == json_escape(text)
 
 
     @settings(max_examples=150, deadline=None)
@@ -547,6 +549,60 @@ class TestPersistence:
         record["nodes"][1]["parent_indices"] = [5]  # parent above own index
         with pytest.raises(CorruptGraph):
             MemoryGraph.from_dict(record)
+
+
+def _broken_record(path, value):
+    """The record of a graph with root, node 1 (items 0-2) and node 2 (item
+    3, created at step 2), with the value at ``path`` replaced."""
+    g = new_graph("q")
+    g.add_search_node("n1", {"root"}, "q1")
+    g.memorize("s1", [VisualItem(k, 1, k, ItemModality.TEXT, f"doc://{k}") for k in range(3)])
+    g.add_search_node("n2", {"n1"}, "q2")
+    g.memorize("s2", [VisualItem(3, 2, 0, ItemModality.TEXT, "doc://3")])
+    record = g.to_dict()
+    *keys, last = path
+    target = record
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return record
+
+
+class TestValidateMessages:
+    """Each broken rule of a loaded graph is named by its own message."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("nodes", 1, "items"), [7, 1, 2], "node 1 references missing item 7"),
+            (("nodes", 1, "items"), [0, 7, 2], "node 1 references missing item 7"),
+            (("nodes", 1, "items"), [0, 1, 7], "node 1 references missing item 7"),
+            (("nodes", 1, "items"), [0, 8, 7], "node 1 references missing item 8"),
+            (("nodes", 1, "items"), [0, 1, 4], "node 1 references missing item 4"),
+            (("nodes", 2, "items"), [-1], "node 2 references missing item -1"),
+            (("nodes", 1, "items"), [0, 1, float("nan")], "node 1 references missing item nan"),
+            (("nodes", 2, "parent_indices"), [1, 2], "node 2 has a parent at or above its own index"),
+            (("nodes", 2, "parent_indices"), [-1, 1], "node 2 has a negative parent index"),
+            (("memory_bank", 2, "ordinal"), 5, "bank item ordinal 5 at position 2"),
+            (("memory_bank", 3, "owner_node"), 3, "bank item 3 has unknown owner 3"),
+            (("memory_bank", 0, "owner_node"), -1, "bank item 0 has unknown owner -1"),
+            (("step",), 1, "graph step is behind a node creation step"),
+        ],
+        ids=[
+            "bad ref first", "bad ref in the middle", "bad ref last", "first of two bad refs",
+            "ref equal to the bank length", "negative ref", "NaN ref", "parent at own index",
+            "negative parent", "bank ordinal mismatch", "unknown owner", "negative owner",
+            "step behind creation",
+        ],
+    )
+    def test_message(self, path, value, message):
+        with pytest.raises(CorruptGraph) as caught:
+            MemoryGraph.from_dict(_broken_record(path, value))
+        assert str(caught.value) == message
+
+    def test_unbroken_record_loads(self):
+        record = _broken_record(("step",), 2)
+        assert MemoryGraph.from_dict(record).to_dict() == record
 
 
 class TestStructuralProperties:
