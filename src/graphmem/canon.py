@@ -67,14 +67,6 @@ def read_text(path: str | Path, error: type["DomainError"]) -> str:
         raise error(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def json_escape(text: str) -> str:
-    """``text`` as it stands between the quotes of ``json.dumps(text)``:
-    ASCII, with quotes, backslashes, control and non-ASCII characters
-    escaped.  Each character is escaped on its own, so the escape of joined
-    texts is the join of their escapes."""
-    return json.dumps(text)[1:-1]
-
-
 def parse_json(text: str | bytes) -> Any:
     """``json.loads`` for input from outside the process.  Nesting too deep
     for the parser raises ``json.JSONDecodeError``, as any other malformed

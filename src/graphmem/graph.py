@@ -2,27 +2,27 @@
 linearization, structural statistics, and persistence.
 
 The graph is a DAG with exactly one root (index 0), any number of search
-nodes, and at most one answer node.  Every edge points from a lower index to
-a higher index, so insertion order is a topological order and the graph is
-acyclic by construction.  Once an answer node exists the graph is terminal
-and refuses further mutation.
+nodes, and at most one answer node, which is the last node.  Every edge
+points from a lower index to a higher index, so insertion order is a
+topological order and the graph is acyclic by construction.  Once an answer
+node exists the graph is terminal and refuses further mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import attrgetter, is_
+from operator import is_
 from typing import Iterable, Sequence
 
-from .canon import Record, canonical_dumps, json_escape, normalize_text
+from .canon import Record, canonical_dumps, normalize_text
 from .energy import VisualItem
 from .errors import DomainError
 
 GRAPH_SCHEMA = "memory-graph/1"
 ROOT_TITLE = "root"
 # linearize's cache entry for a node position it has not rendered yet
-_NO_LINE = (None, (), None, (), "", "")
+_NO_LINE = (None, (), (), "")
 
 
 class GraphError(DomainError):
@@ -108,26 +108,18 @@ class MemoryGraph:
     nodes: list[MemoryNode] = field(default_factory=list)
     memory_bank: list[VisualItem] = field(default_factory=list)
     step: int = 0
-    # linearize's reusable output, holding the records it was rendered from:
-    # node position -> (node, parent nodes, the text before and after the
-    # item fragments and their JSON escapes, items, line, the line
-    # JSON-escaped), bank position -> (item, fragment, the fragment
-    # JSON-escaped), and its last text with the JSON escapes of its lines
+    # linearize's reusable lines, with the records each was rendered from:
+    # node position -> (node, parent nodes, bank items its refs name, line)
     _node_lines: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
-    )
-    _item_lines: dict[int, tuple[VisualItem, str, str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _escaped: tuple[str | None, Sequence[str]] = field(
-        default=(None, ()), init=False, repr=False, compare=False
     )
 
     # -- reads ------------------------------------------------------------
 
     @property
     def is_terminal(self) -> bool:
-        return any(node.kind is _ANSWER for node in self.nodes)
+        # validate keeps an answer node last
+        return bool(self.nodes) and self.nodes[-1].kind is _ANSWER
 
     def node_at(self, index: int) -> MemoryNode:
         if not 0 <= index < len(self.nodes):
@@ -143,11 +135,11 @@ class MemoryGraph:
     def critical_path(self) -> set[int]:
         """Indices of all nodes with a directed path to the answer node,
         answer included.  Empty when no answer node exists."""
-        answer = next((n for n in self.nodes if n.kind is _ANSWER), None)
-        if answer is None:
+        if not self.is_terminal:
             return set()
-        reached = {answer.index}
-        stack = [answer.index]
+        answer = len(self.nodes) - 1
+        reached = {answer}
+        stack = [answer]
         while stack:
             for parent in self.nodes[stack.pop()].parent_indices:
                 if parent not in reached:
@@ -174,28 +166,20 @@ class MemoryGraph:
         """Deterministic index-ordered text rendering of the whole graph:
         one canonical JSON record per node, preceded by a header line.
 
-        Bank items appear under their owning node with their current budget
-        and opaque payload reference; raw visual payloads never appear.
-        Byte-identical across runs for identical graphs, and distinct graphs
-        render distinctly (all node and item fields participate; items not
-        yet attached to a node show up only in the header's bank count).
+        Each search node lists the bank items it owns that shaping has not
+        evicted, with their current budget and opaque payload reference; raw
+        visual payloads never appear, and neither do evicted items, which
+        the budget has discarded for good.  Byte-identical across runs for
+        identical graphs, and distinct graphs render distinctly in node
+        fields, in live-item fields and in which items are evicted (items
+        not yet attached to a node show up only in the header's bank count).
 
-        Rendering is incremental.  Nodes and items are immutable, so the
-        same object always renders the same; reuse is decided by identity
-        (``is``), never by ``==``, under which ``1`` and ``True`` are equal
-        but render differently.  An item's JSON fragment is serialized again
-        only when its bank position holds another object.  A node's line is
-        reused while the node, its parents (their titles are rendered) and
-        the items its ``items`` names are the objects it was rendered from;
-        otherwise it is assembled from the node's own fields and the item
-        fragments, equal byte for byte to the canonical dump of its whole
-        record.  Shaping replaces only the live top-K items and eviction is
-        permanent, so most nodes of a deep graph stop changing.  A fragment
-        whose item differs from the one it was rendered from only in budget
-        and dropped flag keeps its text after those two keys.  Each line's
-        JSON escape, for :meth:`escaped_text`, is joined from the escapes of
-        its parts, which are kept beside them; JSON escapes each character
-        on its own, so that equals escaping the whole line.
+        A node's line is kept and reused while the node, its parents (their
+        titles are rendered) and every item its ``items`` names, evicted or
+        not, are the objects it was rendered from.  Nodes and items are
+        immutable, so the same object always renders the same; reuse is
+        decided by identity (``is``), never by ``==``, under which ``1`` and
+        ``True`` are equal but render differently.
         """
         header = canonical_dumps(
             {
@@ -206,49 +190,26 @@ class MemoryGraph:
                 "step": self.step,
             }
         )
-        lines, escaped = [header], [json_escape(header)]
-        nodes, bank = self.nodes, self.memory_bank
-        node_lines, item_lines = self._node_lines, self._item_lines
+        lines = [header]
+        nodes, bank, node_lines = self.nodes, self.memory_bank, self._node_lines
         node_at, item_at = nodes.__getitem__, bank.__getitem__
         for position, node in enumerate(nodes):
+            parent_indices = sorted(node.parent_indices)
             refs = node.items if node.kind is _SEARCH else ()
-            cached, cached_parents, parts, cached_items, line, escaped_line = (
-                node_lines.get(position, _NO_LINE)
-            )
+            cached, parents, items, line = node_lines.get(position, _NO_LINE)
             # pairwise checks suffice: the same node has as many parents and
             # items as when it was cached
-            same_node = cached is node and all(
-                map(is_, cached_parents, map(node_at, sorted(node.parent_indices)))
-            )
-            if not same_node or not all(map(is_, cached_items, map(item_at, refs))):
-                parents = [nodes[p] for p in sorted(node.parent_indices)]
+            if not (
+                cached is node
+                and all(map(is_, parents, map(node_at, parent_indices)))
+                and all(map(is_, items, map(item_at, refs)))
+            ):
+                parents = [nodes[p] for p in parent_indices]
                 items = [bank[k] for k in refs]
-                if not same_node:
-                    parts = _node_parts(node, [parent.title for parent in parents])
-                fragments, escaped_fragments = [], []
-                for k, item in zip(refs, items):
-                    entry = item_lines.get(k)
-                    if entry is None or entry[0] is not item:
-                        entry = item_lines[k] = _item_entry(item, entry)
-                    fragments.append(entry[1])
-                    escaped_fragments.append(entry[2])
-                head, tail, escaped_head, escaped_tail = parts
-                line = head + ",".join(fragments) + tail
-                escaped_line = escaped_head + ",".join(escaped_fragments) + escaped_tail
-                node_lines[position] = (node, parents, parts, items, line, escaped_line)
+                line = canonical_dumps(_node_record(node, parents, items))
+                node_lines[position] = (node, parents, items, line)
             lines.append(line)
-            escaped.append(escaped_line)
-        text = "\n".join(lines) + "\n"
-        self._escaped = (text, escaped)
-        return text
-
-    def escaped_text(self, text: str) -> str:
-        """``json_escape(text)``.  For the text :meth:`linearize` returned
-        last, it is joined from the lines escaped there."""
-        last, escaped_lines = self._escaped
-        if last is not text:
-            return json_escape(text)
-        return "\\n".join(escaped_lines) + "\\n"
+        return "\n".join(lines) + "\n"
 
     # -- mutations (single writer) ----------------------------------------
 
@@ -348,7 +309,7 @@ class MemoryGraph:
         nodes, bank = self.nodes, self.memory_bank
         if not nodes or nodes[0].kind is not _ROOT:
             raise CorruptGraph("node 0 must be the root")
-        answers = 0
+        last = len(nodes) - 1
         titles: set[str] = set()
         max_created = 0
         bank_size = len(bank)
@@ -358,8 +319,8 @@ class MemoryGraph:
                 raise CorruptGraph(f"node index {node.index} at position {position}")
             if kind is _ROOT and position != 0:
                 raise CorruptGraph("root must be unique and at index 0")
-            if kind is _ANSWER:
-                answers += 1
+            if kind is _ANSWER and position != last:
+                raise CorruptGraph(f"answer node {position} is not the last node")
             if parents:
                 if max(parents) >= node.index:
                     raise CorruptGraph(f"node {node.index} has a parent at or above its own index")
@@ -378,8 +339,6 @@ class MemoryGraph:
             for ref in node.items:
                 if not 0 <= ref < bank_size:
                     raise CorruptGraph(f"node {node.index} references missing item {ref}")
-        if answers > 1:
-            raise CorruptGraph("at most one answer node is allowed")
         if self.step < max_created:
             raise CorruptGraph("graph step is behind a node creation step")
         node_count = len(nodes)
@@ -421,29 +380,30 @@ class MemoryGraph:
         return graph
 
 
-def _node_parts(node: MemoryNode, parent_titles: list[str]) -> tuple[str, str, str, str]:
-    """A node's line without its item fragments, and its JSON escape.  For a
-    search node, the text before and after the contents of its ``items``
-    list; "items" sorts between "index" and "kind", so the line is two
-    canonical dumps spliced around the list.  For any other node, the whole
-    line and "".  Then the JSON escapes of those two."""
+def _node_record(
+    node: MemoryNode, parents: list[MemoryNode], items: list[VisualItem]
+) -> dict:
+    """A node's line as a record: its own fields, its parents' titles and,
+    for a search node, the records of ``items`` that are not evicted."""
     record: dict = {
+        "created_step": node.created_step,
+        "index": node.index,
         "kind": node.kind.value,
         "title": node.title,
-        "parents": parent_titles,
+        "parents": [parent.title for parent in parents],
     }
     if node.kind is _SEARCH:
-        record.update(query=node.query, populated=node.populated, summary=node.summary)
-        head = canonical_dumps({"created_step": node.created_step, "index": node.index})
-        head, tail = head[:-1] + ',"items":[', "]," + canonical_dumps(record)[1:]
+        record.update(
+            query=node.query,
+            populated=node.populated,
+            summary=node.summary,
+            items=[_item_record(item) for item in items if not item.dropped],
+        )
+    elif node.kind is _ROOT:
+        record["query"] = node.query
     else:
-        record.update(index=node.index, created_step=node.created_step)
-        if node.kind is _ROOT:
-            record["query"] = node.query
-        else:
-            record["answer"] = node.answer_text
-        head, tail = canonical_dumps(record), ""
-    return head, tail, json_escape(head), json_escape(tail)
+        record["answer"] = node.answer_text
+    return record
 
 
 def _item_record(item: VisualItem) -> dict:
@@ -460,48 +420,6 @@ def _item_record(item: VisualItem) -> dict:
     if item.source_timestamp_s is not None:
         record["ts"] = item.source_timestamp_s
     return record
-
-
-# the first two keys of an item's fragment, the two that shaping rewrites,
-# as they stand in the fragment and in its JSON escape
-_SHAPED_KEYS = '{"budget":%d,"dropped":%s'
-_ESCAPED_SHAPED_KEYS = json_escape(_SHAPED_KEYS)
-# the other fields of an item
-_UNSHAPED = attrgetter(
-    "ordinal", "owner_node", "slot", "modality", "payload_ref", "saliency", "priority",
-    "source_timestamp_s",
-)
-
-
-def _item_entry(item: VisualItem, cached: tuple | None) -> tuple[VisualItem, str, str]:
-    """linearize's cache entry for a bank item: the item, its fragment and
-    the fragment JSON-escaped.  ``cached`` is the entry of the item that
-    held the bank position before, if any.  Shaping replaces an item by one
-    that differs only in ``allocated_budget`` and ``dropped``, whose keys
-    sort first; then only those two are rendered and the rest of the cached
-    text is reused.  That takes every other field to be the same object,
-    and both items to hold the two as an ``int`` and a ``bool`` exactly:
-    a budget of ``True`` renders as ``true``."""
-    if cached is not None:
-        old, fragment, escaped = cached
-        values, old_values = _shaped_values(item), _shaped_values(old)
-        if values and old_values and all(map(is_, _UNSHAPED(old), _UNSHAPED(item))):
-            return (
-                item,
-                _SHAPED_KEYS % values + fragment[len(_SHAPED_KEYS % old_values):],
-                _ESCAPED_SHAPED_KEYS % values + escaped[len(_ESCAPED_SHAPED_KEYS % old_values):],
-            )
-    fragment = canonical_dumps(_item_record(item))
-    return item, fragment, json_escape(fragment)
-
-
-def _shaped_values(item: VisualItem) -> tuple[int, str] | None:
-    """The budget and dropped flag as ``_SHAPED_KEYS`` renders them, or None
-    unless they are an ``int`` and a ``bool`` exactly."""
-    budget, dropped = item.allocated_budget, item.dropped
-    if type(budget) is int and type(dropped) is bool:
-        return budget, "true" if dropped else "false"
-    return None
 
 
 def new_graph(root_query: str) -> MemoryGraph:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .canon import canonical_dumps, json_escape, parse_json, sha256_hex
+from .canon import canonical_dumps, parse_json, sha256_hex
 from .energy import is_priority
 from .errors import DomainError
 
@@ -368,54 +368,29 @@ class PromptBundle:
     ranking order as (ordinal, budget, payload_ref) triples.
 
     The bundle is frozen, so each prompt text is built on first use and kept;
-    later calls, and :meth:`digest` and :meth:`char_count`, reuse it.
-    ``escaped_context``, when given, is ``json_escape(context)``, kept by
-    whoever made the context; it is not part of what the bundle shows, so
-    equality leaves it out."""
+    later calls, and :meth:`digest` and :meth:`char_count`, reuse it."""
 
     instruction: str
     query: str
     context: str
     memory_attachments: tuple[tuple[int, int, str], ...] = ()
-    escaped_context: str | None = field(default=None, repr=False, compare=False)
     _texts: dict[str, str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def _user_parts(self) -> tuple[str, str, str]:
-        """The user text in three parts: before the context, the context
-        without its trailing newlines, and after it."""
-        lines = ["### Multimodal Memory Bank"]
-        if self.memory_attachments:
-            for ordinal, budget, ref in self.memory_attachments:
-                lines.append(f"- item {ordinal}: budget {budget} tokens, ref {ref}")
-        else:
-            lines.append("(empty)")
-        return (
-            f"### User Query\n{self.query}\n\n### Agent Action Graph\n",
-            self.context.rstrip("\n"),
-            "\n\n" + "\n".join(lines) + "\n",
-        )
-
     def user_text(self) -> str:
         text = self._texts.get("user")
         if text is None:
-            text = self._texts["user"] = "".join(self._user_parts())
-        return text
-
-    def escaped_user_text(self) -> str:
-        """``json_escape(user_text())``, with the context's part taken from
-        ``escaped_context`` when the bundle has it."""
-        text = self._texts.get("escaped_user")
-        if text is None:
-            head, context, tail = self._user_parts()
-            if self.escaped_context is None:
-                context = json_escape(context)
+            lines = ["### Multimodal Memory Bank"]
+            if self.memory_attachments:
+                for ordinal, budget, ref in self.memory_attachments:
+                    lines.append(f"- item {ordinal}: budget {budget} tokens, ref {ref}")
             else:
-                # each trailing newline stripped is two escaped characters
-                cut = 2 * (len(self.context) - len(context))
-                context = self.escaped_context[: len(self.escaped_context) - cut]
-            text = self._texts["escaped_user"] = json_escape(head) + context + json_escape(tail)
+                lines.append("(empty)")
+            text = self._texts["user"] = (
+                f"### User Query\n{self.query}\n\n### Agent Action Graph\n"
+                + self.context.rstrip("\n") + "\n\n" + "\n".join(lines) + "\n"
+            )
         return text
 
     def text(self) -> str:
@@ -449,13 +424,11 @@ def render_context(
         (ordinal, assignment.budgets[ordinal], graph.memory_bank[ordinal].payload_ref)
         for ordinal in assignment.retained
     )
-    context = graph.linearize()
     return PromptBundle(
         instruction=instruction,
         query=graph.root_query,
-        context=context,
+        context=graph.linearize(),
         memory_attachments=attachments,
-        escaped_context=graph.escaped_text(context),
     )
 
 

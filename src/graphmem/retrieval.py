@@ -181,8 +181,9 @@ def embed(text: str, dim: int = EMBED_DIM_DEFAULT, seed: int = EMBED_SEED_DEFAUL
 
 
 def segment_video(duration_s: float, clip_len_s: float) -> list[tuple[float, float]]:
-    """Split [0, duration) into consecutive clips of at most ``clip_len_s``
-    seconds; the last clip may be shorter."""
+    """Split [0, duration) into the fewest clips of ``clip_len_s`` seconds
+    that cover it: clip ``i`` starts at ``i * clip_len_s``, and the last one
+    ends at the duration, so it may be shorter."""
     if not 0 < clip_len_s < math.inf:
         raise BadClipLength(f"clip length must be finite and > 0, got {clip_len_s!r}")
     if duration_s / clip_len_s > CLIPS_PER_VIDEO_MAX:
@@ -190,13 +191,14 @@ def segment_video(duration_s: float, clip_len_s: float) -> list[tuple[float, flo
             f"a video of {duration_s!r} s in clips of {clip_len_s!r} s would make more than "
             f"{CLIPS_PER_VIDEO_MAX} clips"
         )
-    bounds = []
-    start = 0.0
-    while start < duration_s:
-        end = min(start + clip_len_s, duration_s)
-        bounds.append((start, end))
-        start = end
-    return bounds
+    # the rounded quotient is off by at most one from the least count n
+    # with n * clip_len_s >= duration_s
+    count = math.ceil(duration_s / clip_len_s)
+    if count * clip_len_s < duration_s:
+        count += 1
+    elif count > 1 and (count - 1) * clip_len_s >= duration_s:
+        count -= 1
+    return [(i * clip_len_s, min((i + 1) * clip_len_s, duration_s)) for i in range(count)]
 
 
 def build_corpus(

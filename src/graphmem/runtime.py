@@ -28,7 +28,6 @@ from urllib.parse import urlsplit
 from .canon import (
     Record,
     canonical_dumps,
-    json_escape,
     normalize_text,
     parse_json,
     read_json,
@@ -37,7 +36,7 @@ from .canon import (
 )
 from .energy import BudgetAssignment, EnergyParams, ItemModality, VisualItem, shape_memory
 from .errors import DomainError
-from .graph import GraphError, MemoryGraph, NodeKind, new_graph
+from .graph import GraphError, MemoryGraph, new_graph
 from .protocol import (
     Action,
     Answer,
@@ -169,17 +168,15 @@ class ChatCompletionsClient:
         )
 
     def complete(self, messages: Sequence[tuple[str, str]]) -> str:
-        """Send one conversation and return the reply's content.  Each
-        message is a (role, content) pair whose content is already
-        JSON-escaped (:func:`json_escape`), so a long prompt is escaped once,
-        not on every call.  The body is joined from the escaped pieces; its
-        bytes are those of ``json.dumps({"model": model, "messages":
-        [{"role": role, "content": content}, ...]}, allow_nan=False)``."""
-        turns = ", ".join(
-            f'{{"role": "{json_escape(role)}", "content": "{content}"}}'
-            for role, content in messages
-        )
-        body = f'{{"model": "{json_escape(self.model)}", "messages": [{turns}]}}'.encode()
+        """Send one conversation of (role, content) pairs and return the
+        reply's content."""
+        body = json.dumps(
+            {
+                "model": self.model,
+                "messages": [{"role": role, "content": content} for role, content in messages],
+            },
+            allow_nan=False,
+        ).encode()
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.token_env, "")
         if token:
@@ -238,11 +235,7 @@ class RemotePolicy(Policy):
         self.client = client
 
     def act(self, bundle: PromptBundle, followup: Sequence[tuple[str, str]] = ()) -> str:
-        messages = [
-            ("system", json_escape(bundle.instruction)),
-            ("user", bundle.escaped_user_text()),
-        ]
-        messages.extend((role, json_escape(content)) for role, content in followup)
+        messages = [("system", bundle.instruction), ("user", bundle.user_text()), *followup]
         return self.client.complete(messages)
 
 
@@ -282,10 +275,8 @@ class RemoteJudge:
 
     def judge(self, query: str, gold: str, answer: str) -> int:
         messages = [
-            ("system", json_escape(JUDGE_SYSTEM_PROMPT)),
-            ("user", json_escape(
-                f"Query: {query}\nReference Answer: {gold}\nGenerated Answer: {answer}"
-            )),
+            ("system", JUDGE_SYSTEM_PROMPT),
+            ("user", f"Query: {query}\nReference Answer: {gold}\nGenerated Answer: {answer}"),
         ]
         try:
             content = self.client.complete(messages)
@@ -354,10 +345,7 @@ class Trajectory:
 
     @property
     def answer_text(self) -> str | None:
-        return next(
-            (node.answer_text for node in self.graph.nodes if node.kind is NodeKind.ANSWER),
-            None,
-        )
+        return self.graph.nodes[-1].answer_text if self.graph.is_terminal else None
 
     @property
     def truncated(self) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from graphmem import cli, graph, protocol, runtime, server, training
-from graphmem.canon import Record, canonical_dumps, json_escape, parse_json, write_text_atomic
+from graphmem.canon import Record, canonical_dumps, parse_json, write_text_atomic
 from graphmem.config import load_config
 from graphmem.graph import NodeKind
 from graphmem.retrieval import CorpusItem, Modality, build_corpus
@@ -49,11 +49,6 @@ class TestParseJson:
     def test_valid_text_parses(self, text, value):
         assert parse_json(text) == value
         assert parse_json(text.encode("utf-8")) == value
-
-    def test_json_escape_is_json_dumps_without_quotes(self):
-        text = '"\\\n\x00\x7f/\u00e9\U0001f600\ud800'
-        assert json_escape(text) == json.dumps(text)[1:-1]
-        assert json_escape(text[:4]) + json_escape(text[4:]) == json_escape(text)
 
 
 class TestWriteTextAtomic:

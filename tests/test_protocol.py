@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmem.canon import json_escape
 from graphmem.energy import EnergyParams, shape_memory
 from graphmem.graph import new_graph
 from graphmem.protocol import (
@@ -29,7 +28,7 @@ from graphmem.protocol import (
     serialize_action,
 )
 from graphmem.retrieval import search
-from helpers import escape_text, random_action, random_text
+from helpers import random_action, random_text
 
 
 PAPER_STYLE_REPLY = (
@@ -277,33 +276,6 @@ class TestRenderContext:
             assert got == expected
         assert bundle.text() is first_text  # kept, not rebuilt
         assert bundle == fresh() and hash(bundle) == hash(fresh())
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_escaped_user_text_is_the_json_escape(self, seed):
-        rng = random.Random(seed)
-        context = "\n".join(escape_text(rng) for _ in range(rng.randint(0, 4)))
-        context += "\n" * rng.randint(0, 3)
-        attachments = tuple(
-            (k, rng.randint(0, 10**6), escape_text(rng)) for k in range(rng.randint(0, 3))
-        )
-        plain = PromptBundle(escape_text(rng), escape_text(rng), context, attachments)
-        carried = PromptBundle(
-            plain.instruction, plain.query, context, attachments,
-            escaped_context=json_escape(context),
-        )
-        for bundle in (plain, carried):
-            assert bundle.escaped_user_text() == json_escape(bundle.user_text())
-            assert bundle.escaped_user_text() is bundle.escaped_user_text()
-        assert carried == plain and hash(carried) == hash(plain)
-
-    def test_rendered_bundle_carries_the_escaped_context(self):
-        rng = random.Random(7)
-        g = new_graph(escape_text(rng))
-        for cycle in range(4):
-            g.add_search_node(f"n{cycle} {escape_text(rng)}", {"root"}, escape_text(rng))
-            bundle = render_context(g, shape_memory(g, EnergyParams()), escape_text(rng))
-            assert bundle.escaped_context == json_escape(bundle.context)
-            assert bundle.escaped_user_text() == json_escape(bundle.user_text())
 
     def test_stale_assignment_rejected(self):
         g = new_graph("q")

@@ -123,6 +123,20 @@ class TestBuildCorpus:
             assert end - start == pytest.approx(clip_len)
         assert all(end > start for start, end in bounds)
 
+    @pytest.mark.parametrize("clip_len", [0.1, 0.2, 0.3, 1 / 3, 60.0])
+    def test_clip_bounds_are_multiples_of_the_clip_length(self, clip_len):
+        """The fewest clips that cover the video, each starting at a multiple
+        of the clip length, so whole-clip videos gain no sliver."""
+        for duration in map(float, range(1, 301)):
+            bounds = segment_video(duration, clip_len)
+            count = 1
+            while count * clip_len < duration:
+                count += 1
+            assert len(bounds) == count
+            assert [start for start, _ in bounds] == [i * clip_len for i in range(count)]
+            assert [end for _, end in bounds[:-1]] == [i * clip_len for i in range(1, count)]
+            assert bounds[-1][1] == duration
+
 
 class TestEmbed:
     def test_deterministic(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from graphmem.canon import canonical_dumps, json_escape
+from graphmem.canon import canonical_dumps
 from graphmem.config import load_config
 from graphmem.energy import EnergyParams, shape_memory
 from graphmem.graph import (
@@ -413,8 +413,8 @@ class ReferencePolicy(RemotePolicy):
 
 
 class TestRequestBody:
-    """Bodies joined from escaped pieces are byte for byte what
-    ``json.dumps`` makes of the same conversation."""
+    """Request bodies are byte for byte what ``json.dumps`` makes of the
+    same conversation."""
 
     def test_retrieve_memorize_and_retry_turns(self, toy_corpus):
         script = demo_script()
@@ -443,10 +443,7 @@ class TestRequestBody:
                 attachments = tuple(
                     (k, rng.randint(0, 99), escape_text(rng)) for k in range(rng.randint(0, 2))
                 )
-                bundle = PromptBundle(
-                    escape_text(rng), escape_text(rng), context, attachments,
-                    escaped_context=rng.choice([None, json_escape(context)]),
-                )
+                bundle = PromptBundle(escape_text(rng), escape_text(rng), context, attachments)
                 followup = [
                     (rng.choice(["assistant", "user"]), escape_text(rng))
                     for _ in range(rng.choice([0, 2, 4]))
