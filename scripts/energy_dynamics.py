@@ -56,12 +56,14 @@ def decay_curve() -> None:
     print("foundation-item score over elapsed steps (decay 0.1)")
     g = build_graph()
     params = EnergyParams(lambda_decay=0.1, gamma_feedback=0.3)
+    # without feedback, each score is the item's intrinsic value
+    no_feedback = EnergyParams(lambda_decay=0.1, gamma_feedback=0.0)
     base_step = g.step
     for elapsed in range(0, 21, 4):
         g.step = base_step + elapsed
-        report = recursive_energy(g, params)
-        print(f"  +{elapsed:>2} steps: omega={report.total[0]:.4f} "
-              f"(intrinsic {report.intrinsic[0]:.4f})")
+        omega = recursive_energy(g, params).total[0]
+        intrinsic = recursive_energy(g, no_feedback).total[0]
+        print(f"  +{elapsed:>2} steps: omega={omega:.4f} (intrinsic {intrinsic:.4f})")
 
 
 if __name__ == "__main__":

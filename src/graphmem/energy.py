@@ -1,6 +1,6 @@
 """Importance scoring and token budget allocation for the visual memory bank.
 
-Each bank item gets an intrinsic score combining its semantic priority, the
+Each bank item gets a base score combining its semantic priority, the
 structural centrality (out-degree) of its owning node, and exponential decay
 in the number of steps since that node was created.  Scores are then
 reinforced top-down: an item also earns a share of the mean score of every
@@ -106,10 +106,9 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Scores from one evaluation pass: per-item intrinsic and reinforced
-    values plus the per-node mean used for parent feedback."""
+    """Scores from one evaluation pass: per-item reinforced values plus the
+    per-node mean used for parent feedback."""
 
-    intrinsic: dict[int, float]
     total: dict[int, float]
     node_mean: dict[int, float]
     evaluation_step: int
@@ -157,7 +156,7 @@ _SLOT = attrgetter("slot")
 
 
 def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport:
-    """Score every saliency-passing item, reinforcing intrinsic values with
+    """Score every saliency-passing item, reinforcing base scores with
     feedback from descendant nodes.
 
     Nodes are visited in reverse index order; every edge points from a lower
@@ -167,10 +166,11 @@ def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport
     keep their scores (the saliency gate is the only hard exclusion); this
     keeps repeated shaping at one step stable.
 
-    An item's intrinsic value is ``normalize_priority(priority) *
+    An item's base score is ``normalize_priority(priority) *
     (1 + out_degree) * exp(-lambda_decay * age)``, multiplied in that order;
     the last two factors are the same for every item of a node, so they are
-    computed once per node.  Sums add left to right, not with ``sum()``,
+    computed once per node; with ``gamma_feedback`` 0 each score is its
+    base score, bit for bit.  Sums add left to right, not with ``sum()``,
     which compensates float rounding from Python 3.12 on: the scores are the
     same bits on every supported Python.
     """
@@ -184,7 +184,6 @@ def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport
         if item.saliency == 1:
             by_owner[item.owner_node].append(item)
 
-    intrinsic: dict[int, float] = {}
     total: dict[int, float] = {}
     node_mean: dict[int, float] = {}
     for node in reversed(graph.nodes):
@@ -204,13 +203,11 @@ def recursive_energy(graph: "MemoryGraph", params: EnergyParams) -> EnergyReport
         owned.sort(key=_SLOT)
         omega_sum = 0
         for item in owned:
-            base = _PRIORITY_WEIGHT[item.priority] * factor * decay
-            omega = base + feedback
-            intrinsic[item.ordinal] = base
+            omega = _PRIORITY_WEIGHT[item.priority] * factor * decay + feedback
             total[item.ordinal] = omega
             omega_sum += omega
         node_mean[node.index] = omega_sum / len(owned)
-    return EnergyReport(intrinsic, total, node_mean, graph.step)
+    return EnergyReport(total, node_mean, graph.step)
 
 
 def select_top_k(

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .canon import canonical_dumps, parse_json, sha256_hex
+from .canon import canonical_dumps, parse_json
 from .energy import is_priority
 from .errors import DomainError
 
@@ -363,49 +363,19 @@ def serialize_action(action: Action, thinking: str = "") -> str:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """Everything the policy sees for one turn: system instruction, the user
-    query, the linearized graph, and the retained memory attachments in
-    ranking order as (ordinal, budget, payload_ref) triples.
-
-    The bundle is frozen, so each prompt text is built on first use and kept;
-    later calls, and :meth:`digest` and :meth:`char_count`, reuse it."""
+    """Everything the policy sees for one turn: the system instruction and
+    the user message, which holds the query, the linearized graph and the
+    retained memory attachments in ranking order."""
 
     instruction: str
-    query: str
-    context: str
-    memory_attachments: tuple[tuple[int, int, str], ...] = ()
-    _texts: dict[str, str] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    user: str
 
     def user_text(self) -> str:
-        text = self._texts.get("user")
-        if text is None:
-            lines = ["### Multimodal Memory Bank"]
-            if self.memory_attachments:
-                for ordinal, budget, ref in self.memory_attachments:
-                    lines.append(f"- item {ordinal}: budget {budget} tokens, ref {ref}")
-            else:
-                lines.append("(empty)")
-            text = self._texts["user"] = (
-                f"### User Query\n{self.query}\n\n### Agent Action Graph\n"
-                + self.context.rstrip("\n") + "\n\n" + "\n".join(lines) + "\n"
-            )
-        return text
+        return self.user
 
     def text(self) -> str:
-        text = self._texts.get("full")
-        if text is None:
-            text = self._texts["full"] = (
-                self.instruction.rstrip("\n") + "\n\n" + self.user_text()
-            )
-        return text
-
-    def digest(self) -> str:
-        return sha256_hex(self.text())
-
-    def char_count(self) -> int:
-        return len(self.text())
+        """The whole prompt, whose digest and length a cycle record keeps."""
+        return self.instruction.rstrip("\n") + "\n\n" + self.user
 
 
 def render_context(
@@ -420,16 +390,17 @@ def render_context(
         raise StaleAssignment(
             f"assignment shaped at step {assignment.step}, graph is at step {graph.step}"
         )
-    attachments = tuple(
-        (ordinal, assignment.budgets[ordinal], graph.memory_bank[ordinal].payload_ref)
+    lines = [
+        f"- item {ordinal}: budget {assignment.budgets[ordinal]} tokens, "
+        f"ref {graph.memory_bank[ordinal].payload_ref}"
         for ordinal in assignment.retained
+    ] or ["(empty)"]
+    user = (
+        f"### User Query\n{graph.root_query}\n\n### Agent Action Graph\n"
+        + graph.linearize().rstrip("\n")
+        + "\n\n### Multimodal Memory Bank\n" + "\n".join(lines) + "\n"
     )
-    return PromptBundle(
-        instruction=instruction,
-        query=graph.root_query,
-        context=graph.linearize(),
-        memory_attachments=attachments,
-    )
+    return PromptBundle(instruction, user)
 
 
 def render_observation(observations: Iterable["Observation"]) -> str:

@@ -20,7 +20,7 @@ import os
 import re
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
@@ -32,6 +32,7 @@ from .canon import (
     parse_json,
     read_json,
     read_text,
+    sha256_hex,
     write_text_atomic,
 )
 from .energy import BudgetAssignment, EnergyParams, ItemModality, VisualItem, shape_memory
@@ -474,10 +475,6 @@ def apply_action(
 # -- the loop -----------------------------------------------------------------
 
 
-def _conversation_chars(bundle: PromptBundle, followup: Sequence[tuple[str, str]]) -> int:
-    return bundle.char_count() + sum(len(content) for _, content in followup)
-
-
 def _act_and_parse(
     policy: Policy,
     bundle: PromptBundle,
@@ -530,17 +527,9 @@ def run_episode(
             raise PolicyProtocolError(
                 f"policy action rejected at cycle {cycle}: {exc}"
             ) from exc
-        record = CycleRecord(
-            cycle=cycle,
-            step=assignment.step,
-            prompt_digest=bundle.digest(),
-            prompt_chars=bundle.char_count(),
-            response=raw,
-            action=action_payload(action),
-            kind=_action_kind(action),
-            node_index=len(graph.nodes) - 1,
-            assignment=assignment,
-        )
+        text = bundle.text()
+        observations: tuple[Observation, ...] = ()
+        memorize_prompt_chars, raw2, memorize_action = 0, "", None
         if isinstance(action, Retrieve):
             observations = tuple(
                 search(corpus, action.query, config.search_k, n_frames=config.n_frames)
@@ -553,12 +542,21 @@ def run_episode(
             if not isinstance(parsed2.action, Memorize):
                 raise IllegalTransition(f"expected memorize, got {_action_kind(parsed2.action)}")
             apply_action(graph, parsed2.action, observations)
-            record = replace(
-                record,
-                observations=observations,
-                memorize_prompt_chars=_conversation_chars(bundle, followup),
-                memorize_response=raw2,
-                memorize_action=action_payload(parsed2.action),
-            )
-        records.append(record)
+            memorize_prompt_chars = len(text) + sum(len(content) for _, content in followup)
+            memorize_action = action_payload(parsed2.action)
+        records.append(CycleRecord(
+            cycle=cycle,
+            step=assignment.step,
+            prompt_digest=sha256_hex(text),
+            prompt_chars=len(text),
+            response=raw,
+            action=action_payload(action),
+            kind=_action_kind(action),
+            node_index=len(graph.nodes) - 1,
+            assignment=assignment,
+            observations=observations,
+            memorize_prompt_chars=memorize_prompt_chars,
+            memorize_response=raw2,
+            memorize_action=memorize_action,
+        ))
     return Trajectory(records=records, graph=graph)

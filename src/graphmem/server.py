@@ -10,13 +10,16 @@ Connections are kept alive (HTTP/1.1), so a client can send many searches
 over one socket; each reply leaves in one send.  Every reply other than a 200
 carries ``Connection: close``, because the request body may not have been
 read.  Requests are bounded: ``k`` above ``MAX_K`` gets 400 before any
-search, a ``Content-Length`` above ``MAX_BODY_BYTES`` gets 400 before the body
-is read, and a connection that sends nothing for ``READ_TIMEOUT_S`` seconds,
-idle or in the middle of a body, is closed without a reply.
+search; a ``Content-Length`` that is not one header of ASCII digits, or that
+is above ``MAX_BODY_BYTES``, gets 400 before the body is read; and a
+connection that sends nothing for ``READ_TIMEOUT_S`` seconds, idle or in the
+middle of a body, is closed without a reply.  A client that resets its
+connection ends it quietly.
 """
 
 from __future__ import annotations
 
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .canon import canonical_dumps, parse_json
@@ -83,9 +86,7 @@ def make_search_server(
                 self._reply(404, {"error": "unknown endpoint"})
                 return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                if not 0 <= length <= MAX_BODY_BYTES:
-                    raise ValueError(f"Content-Length must be in [0, {MAX_BODY_BYTES}]")
+                length = _content_length(self.headers.get_all("Content-Length", []))
                 request = parse_json(self.rfile.read(length).decode("utf-8"))
                 if not isinstance(request, dict):
                     raise ValueError("body must be a JSON object")
@@ -108,4 +109,26 @@ def make_search_server(
                 return
             self._reply(200, {"results": [obs.to_dict() for obs in results]})
 
-    return ThreadingHTTPServer((host, port), SearchHandler)
+    return _SearchServer((host, port), SearchHandler)
+
+
+class _SearchServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address) -> None:
+        # a client that went away ends its connection; any other error is a fault
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+def _content_length(values: list[str]) -> int:
+    """The body length from the request's ``Content-Length`` headers: exactly
+    one, of ASCII digits only (``int`` would also take ``+20``, ``2_0`` and
+    digits of other scripts), at most ``MAX_BODY_BYTES``."""
+    if len(values) != 1:
+        raise ValueError(f"expected one Content-Length header, got {len(values)}")
+    value = values[0].strip(" \t")
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"Content-Length must be ASCII digits, got {value!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise ValueError(f"Content-Length must be in [0, {MAX_BODY_BYTES}]")
+    return length

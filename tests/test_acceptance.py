@@ -126,7 +126,7 @@ def test_criterion_03_budget_conservation_and_monotonicity():
         ]
         pool = [0.0, 1.0, rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0, 1000)]
         totals = {k: rng.choice(pool) for k in range(n)}
-        report_obj = EnergyReport({}, totals, {}, 0)
+        report_obj = EnergyReport(totals, {}, 0)
         params = EnergyParams(
             s_total=rng.randint(1, 10**7),
             top_k=rng.randint(1, n + 2),
@@ -141,7 +141,7 @@ def test_criterion_03_budget_conservation_and_monotonicity():
 
     exact = allocate_budget(
         (0, 1),
-        EnergyReport({}, {0: 3.0, 1: 1.0}, {}, 0),
+        EnergyReport({0: 3.0, 1: 1.0}, {}, 0),
         EnergyParams(s_total=100, top_k=2),
     )
     assert exact.budgets == {0: 75, 1: 25}

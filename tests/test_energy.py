@@ -77,6 +77,12 @@ def flat_graph(priorities, saliencies=None, n_nodes=1):
     return g
 
 
+def intrinsic_scores(g, params=EnergyParams()):
+    """Each item's intrinsic value: its score with feedback switched off,
+    which ``recursive_energy`` gives bit for bit."""
+    return recursive_energy(g, dataclasses.replace(params, gamma_feedback=0.0)).total
+
+
 class TestNormalizePriority:
     def test_endpoints_and_midpoint(self):
         assert normalize_priority(1) == 0.0
@@ -98,21 +104,21 @@ class TestIntrinsicEnergy:
         g.append_item(VisualItem(0, 1, 0, ItemModality.TEXT, "r", priority=5))
         g.populate_node(1, "s", [0])
         g.step = 1  # T == t_i
-        assert recursive_energy(g, EnergyParams()).intrinsic[0] == pytest.approx(1.0)
+        assert intrinsic_scores(g)[0] == pytest.approx(1.0)
 
     def test_decayed_with_degree(self):
         # p=5, deg+=1, lambda=0.1, T - t_i = 1  ->  2 * e^(-0.1)
         # frozen from a 40-digit evaluation: 1.809674836071919146328498...
         g = chain_graph()
-        value = recursive_energy(g, EnergyParams(lambda_decay=0.1)).intrinsic[0]
+        value = intrinsic_scores(g, EnergyParams(lambda_decay=0.1))[0]
         assert abs(value - 1.8096748360719192) < 1e-12
 
     def test_zero_decay_is_age_independent(self):
         g = chain_graph()
         params = EnergyParams(lambda_decay=0.0)
-        young = recursive_energy(g, params).intrinsic[0]
+        young = intrinsic_scores(g, params)[0]
         g.step = 50
-        old = recursive_energy(g, params).intrinsic[0]
+        old = intrinsic_scores(g, params)[0]
         assert young == old
 
     def test_clock_inconsistency(self):
@@ -128,7 +134,7 @@ class TestRecursiveEnergy:
     def test_leaf_item_equals_intrinsic(self):
         g = flat_graph([4])
         report = recursive_energy(g, EnergyParams())
-        assert report.total[0] == report.intrinsic[0]
+        assert report.total[0] == intrinsic_scores(g)[0]
 
     def test_chain_example(self):
         # expected values from the naive definitional oracle (and a 40-digit
@@ -153,7 +159,7 @@ class TestRecursiveEnergy:
         g.populate_node(2, "nothing useful", [])
         report = recursive_energy(g, EnergyParams(gamma_feedback=0.7))
         assert report.node_mean[2] == 0.0
-        assert report.total[0] == report.intrinsic[0]
+        assert report.total[0] == intrinsic_scores(g)[0]
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -171,14 +177,16 @@ class TestRecursiveEnergy:
         assert set(report.total) == set(oracle)
         for ordinal, expected in oracle.items():
             assert abs(report.total[ordinal] - expected) < 1e-9
+        intrinsic = intrinsic_scores(g, params)
+        assert set(intrinsic) == set(intrinsic_oracle)
         for ordinal, expected in intrinsic_oracle.items():
-            assert abs(report.intrinsic[ordinal] - expected) < 1e-9
+            assert abs(intrinsic[ordinal] - expected) < 1e-9
 
     def test_feedback_positivity(self):
         # with gamma > 0 and a child holding items, omega > intrinsic
         g = chain_graph()
         report = recursive_energy(g, EnergyParams(gamma_feedback=0.3))
-        assert report.total[0] > report.intrinsic[0]
+        assert report.total[0] > intrinsic_scores(g)[0]
 
     def test_decay_strictly_decreasing_in_age(self):
         g = flat_graph([5])
@@ -349,7 +357,7 @@ class TestExactArithmetic:
             weights = {ordinal: _random_weight(rng) for ordinal in range(n)}
             if rng.random() < 0.05:
                 weights = dict.fromkeys(weights, 0.0)
-            report = EnergyReport({}, weights, {}, 0)
+            report = EnergyReport(weights, {}, 0)
             params = EnergyParams(
                 s_total=rng.choice([1, 7, 1000, S_TOTAL_DEFAULT, rng.randint(1, 10**15)]),
                 uniform_mode=rng.random() < 0.1,
@@ -371,7 +379,7 @@ class TestExactArithmetic:
             )
             report = recursive_energy(g, params)
             intrinsic, total = per_item_energy(g, params)
-            assert report.intrinsic == intrinsic
+            assert intrinsic_scores(g, params) == intrinsic
             assert report.total == total
 
 

@@ -41,11 +41,12 @@ def own_item(g, index):
 
 
 def centrality(g, index):
-    """The (1 + out-degree) factor of node ``index``, read off the intrinsic
-    energy of the item :func:`own_item` gave it, with decay switched off."""
-    report = recursive_energy(g, EnergyParams(lambda_decay=0.0))
+    """The (1 + out-degree) factor of node ``index``, read off the score of
+    the item :func:`own_item` gave it, with decay and feedback switched off:
+    the score is then the intrinsic energy."""
+    report = recursive_energy(g, EnergyParams(lambda_decay=0.0, gamma_feedback=0.0))
     (ordinal,) = [item.ordinal for item in g.memory_bank if item.owner_node == index]
-    return report.intrinsic[ordinal]
+    return report.total[ordinal]
 
 
 def build_demo_graph():

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from graphmem.retrieval import load_corpus
 
 ROOT = Path(__file__).parent.parent
@@ -91,3 +93,22 @@ def test_tracer_finds_every_name_it_rebinds():
     assert result.returncode == 0, result.stderr
     corpus = load_corpus(ROOT / "tests" / "fixtures" / "demo_corpus.json")
     assert result.stdout.split() == [str(len(corpus.units)), str(corpus.index.nbytes)]
+
+
+@pytest.mark.parametrize(
+    "script, line",
+    [
+        ("run_demo.py", "answer: Mira Chen, 2019  (reward 1)"),
+        ("energy_dynamics.py", "  + 0 steps: omega=2.8169 (intrinsic 2.4562)"),
+    ],
+)
+def test_script_runs(script, line):
+    """The scripts count as callers above, so each must run: it exits 0
+    and prints a line it is known for."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert line in result.stdout.split("\n")

@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import socket
+import struct
 import threading
 import time
 
@@ -776,14 +777,56 @@ class TestSearchServer:
         assert status == 400
         assert reply["error"].startswith("bad request")
 
-    @pytest.mark.parametrize("length", ["-1", "abc"])
-    def test_bad_content_length_rejected(self, server_address, length):
+    @pytest.mark.parametrize(
+        "lengths",
+        [("-1",), ("abc",), ("+20",), ("2_0",), ("20", "5")],
+        ids=["-1", "abc", "+20", "2_0", "two-headers"],
+    )
+    def test_bad_content_length_rejected(self, server_address, lengths):
+        """A Content-Length that is not one header of ASCII digits gets 400
+        and Connection: close on its header alone, though ``int`` reads
+        ``+20`` and ``2_0`` as the 20 bytes of the body that follows."""
         body = b'{"query": "solaris"}'
-        head = f"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+        assert len(body) == 20
+        head = "POST /search HTTP/1.1\r\nHost: x\r\n" + "".join(
+            f"Content-Length: {length}\r\n" for length in lengths
+        ) + "\r\n"
         with socket.create_connection(server_address, timeout=5) as sock:
             sock.sendall(head.encode("ascii") + body)
-            reply = sock.recv(4096)
-        assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == b"400"
+            reply = sock.recv(4096)  # each reply leaves in one send
+        head, payload = reply.split(b"\r\n\r\n", 1)
+        status_line, headers = head.split(b"\r\n", 1)
+        assert status_line.split(b" ")[1] == b"400"
+        assert b"Connection: close" in headers
+        assert "Content-Length" in json.loads(payload)["error"]
+
+    def test_content_length_padded_with_spaces_accepted(self, server_address):
+        body = b'{"query": "solaris", "k": 1}'
+        head = f"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length:  {len(body)} \r\n\r\n"
+        with socket.create_connection(server_address, timeout=5) as sock:
+            sock.sendall(head.encode("ascii") + body)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+
+    @pytest.mark.parametrize("when", ["after-the-reply", "before-the-reply"])
+    def test_client_reset_ends_its_connection_quietly(self, server_address, capsys, when):
+        """A client that resets its connection (SO_LINGER 0), after reading
+        its reply or before, ends that connection with nothing on stderr,
+        and the server serves on."""
+        before = set(threading.enumerate())
+        body = b'{"query": "solaris", "k": 1}'
+        head = f"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+        with socket.create_connection(server_address, timeout=5) as sock:
+            sock.sendall(head.encode("ascii") + body)
+            if when == "after-the-reply":
+                assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        # connections are accepted in order: this one's handler started first
+        assert post_json(server_address, "/search", {"query": "solaris", "k": 1})[0] == 200
+        handlers = [t for t in threading.enumerate() if t not in before]
+        for handler in handlers:
+            handler.join(timeout=5)
+        assert not any(handler.is_alive() for handler in handlers)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("default_k", [0, MAX_K + 1])
     def test_default_k_outside_cap_refused(self, toy_corpus, default_k):

@@ -438,12 +438,9 @@ class TestRequestBody:
             expected = []
             for _ in range(cases):
                 client = ChatCompletionsClient(stub.base_url, escape_text(rng))
-                context = "\n".join(escape_text(rng) for _ in range(rng.randint(0, 3)))
-                context += "\n" * rng.randint(0, 2)
-                attachments = tuple(
-                    (k, rng.randint(0, 99), escape_text(rng)) for k in range(rng.randint(0, 2))
-                )
-                bundle = PromptBundle(escape_text(rng), escape_text(rng), context, attachments)
+                user = "\n".join(escape_text(rng) for _ in range(rng.randint(1, 4)))
+                user += "\n" * rng.randint(0, 2)
+                bundle = PromptBundle(escape_text(rng), user)
                 followup = [
                     (rng.choice(["assistant", "user"]), escape_text(rng))
                     for _ in range(rng.choice([0, 2, 4]))
