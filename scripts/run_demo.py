@@ -37,8 +37,9 @@ def main() -> None:
     print("final graph:")
     print(trajectory.graph.linearize())
     print("memory bank budgets:")
+    budgets = trajectory.records[-1].assignment.budgets
     for item in trajectory.graph.memory_bank:
-        status = "dropped" if item.dropped else f"budget {item.allocated_budget}"
+        status = f"budget {budgets[item.ordinal]}" if item.ordinal in budgets else "dropped"
         print(f"  item {item.ordinal} ({item.modality.value}, p={item.priority}): {status}")
     print()
     group = prepare_group([trajectory], gold_evidence_ids=["doc-director", "doc-year"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -64,7 +64,6 @@ class VisualItem(Record):
     saliency: int = 1
     priority: int = 3
     source_timestamp_s: float | None = None
-    allocated_budget: int = 0
     dropped: bool = False
 
     def __post_init__(self) -> None:
@@ -72,10 +71,6 @@ class VisualItem(Record):
             raise ValueError(f"saliency must be 0 or 1, got {self.saliency!r}")
         if not is_priority(self.priority):
             raise ValueError(f"priority must be an integer in [1, 5], got {self.priority!r}")
-        if self.allocated_budget < 0:
-            raise ValueError("allocated_budget must be >= 0")
-        if self.dropped and self.allocated_budget != 0:
-            raise ValueError("dropped items carry no budget")
 
 
 @dataclass(frozen=True)
@@ -264,13 +259,14 @@ def allocate_budget(
 
 
 def shape_memory(graph: "MemoryGraph", params: EnergyParams) -> BudgetAssignment:
-    """One full shaping pass over the memory bank, with write-back.
+    """One full shaping pass over the memory bank.
 
     Saliency-0 items are dropped outright before anything is ranked.  The
-    remaining live items are scored, the top-K survive, everything else is
-    evicted (permanently: evicted items never re-enter a later retained set),
-    and budgets are written into the bank.  Re-running at an unchanged step
-    reproduces the same assignment.
+    remaining live items are scored, the top-K survive and get their budgets
+    in the returned assignment, and everything else is evicted (permanently:
+    evicted items never re-enter a later retained set).  Only the items this
+    pass evicts are replaced in the bank; every other item stays the same
+    object.  Re-running at an unchanged step reproduces the same assignment.
     """
     bank = graph.memory_bank
     live = []
@@ -278,7 +274,7 @@ def shape_memory(graph: "MemoryGraph", params: EnergyParams) -> BudgetAssignment
         if item.dropped:
             continue
         if item.saliency == 0:
-            bank[item.ordinal] = _with_budget(item, 0, True)
+            bank[item.ordinal] = replace(item, dropped=True)
         else:
             live.append(item)
 
@@ -288,19 +284,6 @@ def shape_memory(graph: "MemoryGraph", params: EnergyParams) -> BudgetAssignment
 
     budgets = assignment.budgets
     for item in live:
-        budget = budgets.get(item.ordinal)
-        if budget is None:
-            bank[item.ordinal] = _with_budget(item, 0, True)
-        else:
-            bank[item.ordinal] = _with_budget(item, budget, item.dropped)
+        if item.ordinal not in budgets:
+            bank[item.ordinal] = replace(item, dropped=True)
     return assignment
-
-
-def _with_budget(item: VisualItem, budget: int, dropped: bool) -> VisualItem:
-    """``item`` with a new budget and dropped flag, every other field the
-    same object, built by the constructor (``dataclasses.replace`` costs
-    several times more)."""
-    return VisualItem(
-        item.ordinal, item.owner_node, item.slot, item.modality, item.payload_ref,
-        item.saliency, item.priority, item.source_timestamp_s, budget, dropped,
-    )

@@ -167,12 +167,14 @@ class MemoryGraph:
         one canonical JSON record per node, preceded by a header line.
 
         Each search node lists the bank items it owns that shaping has not
-        evicted, with their current budget and opaque payload reference; raw
-        visual payloads never appear, and neither do evicted items, which
-        the budget has discarded for good.  Byte-identical across runs for
-        identical graphs, and distinct graphs render distinctly in node
-        fields, in live-item fields and in which items are evicted (items
-        not yet attached to a node show up only in the header's bank count).
+        evicted, with their opaque payload reference; raw visual payloads
+        never appear, and neither do evicted items, which the budget has
+        discarded for good.  Budgets are not in the graph: each cycle's
+        assignment holds them, and the prompt lists them once, after the
+        graph text.  Byte-identical across runs for identical graphs, and
+        distinct graphs render distinctly in node fields, in live-item
+        fields and in which items are evicted (items not yet attached to a
+        node show up only in the header's bank count).
 
         A node's line is kept and reused while the node, its parents (their
         titles are rendered) and every item its ``items`` names, evicted or
@@ -408,8 +410,6 @@ def _node_record(
 
 def _item_record(item: VisualItem) -> dict:
     record = {
-        "budget": item.allocated_budget,
-        "dropped": item.dropped,
         "modality": item.modality.value,
         "ordinal": item.ordinal,
         "priority": item.priority,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .canon import canonical_dumps, parse_json
@@ -39,9 +39,11 @@ TOOL_MEMORIZE = "summarize_and_memorize"
 
 WARN_TRAILING_TEXT = "trailing-text"
 WARN_PRIORITY_CLAMPED = "priority-clamped"
-# key timestamps stop here: tenths of a second must fit the 28 digits of
-# the default decimal context when a timestamp is quantized
+# key timestamps in replies must be below this
 _TIMESTAMP_LIMIT_S = 1e27
+# quantizes any finite float to tenths: the largest has 309 integer digits,
+# where the default context holds 28 digits in all
+_TENTHS_CONTEXT = Context(prec=310)
 
 
 class ProtocolError(DomainError):
@@ -69,7 +71,9 @@ class StaleAssignment(ProtocolError):
 
 
 def _half_up_tenths(seconds: float) -> Decimal:
-    return Decimal(repr(float(seconds))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+    return Decimal(repr(float(seconds))).quantize(
+        Decimal("0.1"), rounding=ROUND_HALF_UP, context=_TENTHS_CONTEXT
+    )
 
 
 def quantize_timestamp(seconds: float) -> float:

@@ -313,10 +313,10 @@ class EpisodeConfig:
 class CycleRecord(Record, keep_null=("memorize_action",)):
     """Everything one cycle produced: the prompt fingerprint, the raw and
     parsed responses of both turns, the observations, and the shaping
-    assignment in force when the prompt was rendered."""
+    assignment in force when the prompt was rendered.  The counts are ints,
+    so a file holding anything else there is refused when it is read."""
 
     cycle: int
-    step: int
     prompt_digest: str
     prompt_chars: int
     response: str
@@ -328,6 +328,12 @@ class CycleRecord(Record, keep_null=("memorize_action",)):
     memorize_prompt_chars: int = 0
     memorize_response: str = ""
     memorize_action: dict | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("cycle", "prompt_chars", "node_index", "memorize_prompt_chars"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is not a count
+                raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass
@@ -546,7 +552,6 @@ def run_episode(
             memorize_action = action_payload(parsed2.action)
         records.append(CycleRecord(
             cycle=cycle,
-            step=assignment.step,
             prompt_digest=sha256_hex(text),
             prompt_chars=len(text),
             response=raw,

@@ -16,7 +16,9 @@ import pytest
 from graphmem.canon import canonical_dumps
 from graphmem.cli import main
 from graphmem.config import Config, ConfigError, dump_config, load_config
+from graphmem.protocol import Answer, Memorize, Retrieve, serialize_action
 from graphmem.retrieval import CorpusItem, Modality, build_corpus, save_corpus, search
+from graphmem.runtime import load_trajectory
 from helpers import KeepAliveStub, chain_script, chat_reply, corpus_record, pack_array
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -792,6 +794,30 @@ def test_unbounded_clip_count_is_one_typed_line(tmp_path, case):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_clip_bounds_from_1e27_seconds_run(tmp_path):
+    """Clips of a 1e28 s video in 1e27 s clips are searched and shown to
+    the policy with their bounds, past the 28 digits of the default
+    decimal context."""
+    build = _build_from_manifest(tmp_path, json.dumps({"items": [
+        {"id": "v", "modality": "video", "content": "harbor at night", "duration_s": 1e28}
+    ]})) + ["--clip-len", "1e27"]
+    assert _run_capped(build).returncode == 0
+    script = _write(tmp_path / "s.json", json.dumps([
+        serialize_action(Retrieve("s1", ("root",), "harbor at night"), "search"),
+        serialize_action(Memorize("nothing useful", ()), "judge"),
+        serialize_action(Answer(("s1",), "none"), "answer"),
+    ]))
+    out = tmp_path / "t.jsonl"
+    result = _run_capped(
+        _run_with(tmp_path, corpus_path=str(tmp_path / "c.json"), policy_script=script)
+        + ["--out", str(out)]
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    (record, _) = load_trajectory(out).records
+    assert max(obs.clip_end_s for obs in record.observations) >= 1e27
+
+
 def test_score_past_the_float_range_is_one_typed_line(tmp_path):
     """Feedback at gamma 1e308 drives a five-deep chain's scores to inf."""
     script = _write(tmp_path / "chain.json", json.dumps(chain_script(5)))
@@ -866,6 +892,25 @@ def test_deeply_nested_input_is_typed_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error [{code}]: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["stats", "prune"])
+@pytest.mark.parametrize(
+    "field", ["cycle", "prompt_chars", "node_index", "memorize_prompt_chars"]
+)
+def test_count_that_is_not_an_int_is_corrupt_session(tmp_path, capsys, command, field):
+    lines = (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record[field] = str(record[field])
+    path = _write(tmp_path / "t.jsonl", "\n".join([lines[0], json.dumps(record)] + lines[2:]))
+    out = ["--out", str(tmp_path / "s.json")] if command == "stats" else [
+        "--out-batch", str(tmp_path / "b.jsonl")
+    ]
+    assert main([command, "--trajectories", path, *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [CorruptSession]: ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("[sb].json*"))
 
 
 def _remote_reply_run(tmp, base_url: str) -> list[str]:

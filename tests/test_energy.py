@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -26,6 +27,7 @@ from graphmem.energy import (
     shape_memory,
 )
 from graphmem.graph import CorruptGraph, new_graph
+from graphmem.protocol import render_context
 from graphmem.runtime import EpisodeConfig, ScriptedPolicy, run_episode
 from helpers import (
     chain_script,
@@ -402,14 +404,16 @@ class TestShaping:
         g = flat_graph([5, 3], saliencies=[0, 1])
         assignment = shape_memory(g, EnergyParams(s_total=100))
         assert g.memory_bank[0].dropped
-        assert g.memory_bank[0].allocated_budget == 0
         assert assignment.retained == (1,)
 
-    def test_writes_budgets_back(self):
-        g = flat_graph([5, 3])
-        assignment = shape_memory(g, EnergyParams(s_total=100, top_k=5))
-        for ordinal, budget in assignment.budgets.items():
-            assert g.memory_bank[ordinal].allocated_budget == budget
+    def test_replaces_only_the_items_it_evicts(self):
+        g = flat_graph([5, 4, 3])
+        before = list(g.memory_bank)
+        assignment = shape_memory(g, EnergyParams(s_total=100, top_k=2))
+        assert assignment.retained == (0, 1)
+        assert g.memory_bank[0] is before[0] and g.memory_bank[1] is before[1]
+        evicted = g.memory_bank[2]
+        assert evicted.dropped and evicted == dataclasses.replace(before[2], dropped=True)
 
     def test_eviction_is_permanent(self):
         params = EnergyParams(s_total=100, top_k=1)
@@ -422,6 +426,61 @@ class TestShaping:
         assignment = shape_memory(g, params)
         assert g.memory_bank[1].dropped
         assert assignment.retained == (0,)
+
+
+class TestBudgetsLiveInTheAssignment:
+    """For graphs grown, shaped and evicted in place, a shaping pass leaves
+    every item it does not evict the same object, and the prompt carries
+    each budget once: in its Memory Bank lines, never in the graph text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_shaping_replaces_only_what_it_evicts(self, seed):
+        rng = random.Random(seed)
+        g = new_graph("probe query")
+        params = EnergyParams(top_k=rng.randint(1, 4), s_total=rng.choice([7, 1000, 10**6]))
+        for cycle in range(rng.randint(1, 12)):
+            parents = rng.sample(g.nodes, rng.randint(1, min(3, len(g.nodes))))
+            g.add_search_node(f"n{cycle}", {n.title for n in parents}, f"query {cycle}")
+            owner, first = len(g.nodes) - 1, len(g.memory_bank)
+            g.memorize(f"summary {cycle}", [
+                VisualItem(
+                    first + slot, owner, slot, rng.choice(list(ItemModality)),
+                    f"ref://{first + slot}", saliency=rng.choice([0, 1, 1]),
+                    priority=rng.randint(1, 5),
+                )
+                for slot in range(rng.randint(0, 4))
+            ])
+            live = [item for item in g.memory_bank if not item.dropped]
+            if live and rng.random() < 0.3:
+                k = rng.choice(live).ordinal
+                g.memory_bank[k] = dataclasses.replace(g.memory_bank[k], dropped=True)
+            before = list(g.memory_bank)
+            assignment = shape_memory(g, params)
+            for ordinal in assignment.retained:
+                assert g.memory_bank[ordinal] is before[ordinal]
+            for old, new in zip(before, g.memory_bank):
+                if new is not old:
+                    assert not old.dropped and old.ordinal not in assignment.budgets
+                    assert new == dataclasses.replace(old, dropped=True)
+            self.check_prompt(render_context(g, assignment, "INSTRUCTION").user, assignment)
+
+    @staticmethod
+    def check_prompt(user: str, assignment) -> None:
+        graph_text, bank_text = user.split("\n### Agent Action Graph\n")[1].split(
+            "\n\n### Multimodal Memory Bank\n"
+        )
+        for record in map(json.loads, graph_text.splitlines()):
+            for item in record.get("items", ()):
+                assert "budget" not in item
+        listed = [
+            re.fullmatch(r"- item (\d+): budget (\d+) tokens, ref ref://\1", line).groups()
+            for line in bank_text.splitlines()
+            if line != "(empty)"
+        ]
+        assert [(int(o), int(b)) for o, b in listed] == [
+            (ordinal, assignment.budgets[ordinal]) for ordinal in assignment.retained
+        ]
 
 
 def _runnable_pythons() -> list[str]:

@@ -251,8 +251,8 @@ class TestFrozenRecords:
 
     def test_replace_checks_the_new_item(self):
         item = build_demo_graph().memory_bank[0]
-        with pytest.raises(ValueError, match="no budget"):
-            dataclasses.replace(item, dropped=True, allocated_budget=3)
+        with pytest.raises(ValueError, match="saliency must be 0 or 1"):
+            dataclasses.replace(item, saliency=2)
 
 
 class TestLinearize:
@@ -278,13 +278,13 @@ class TestLinearize:
         g.nodes[1] = dataclasses.replace(g.nodes[1], summary="X was directed by Z")
         assert g.linearize() != base
         g = build_demo_graph()
-        g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], allocated_budget=7)
+        g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], priority=4)
         assert g.linearize() != base
         g = build_demo_graph()
         g.step += 1
         assert g.linearize() != base
         g = build_demo_graph()
-        g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], dropped=True, allocated_budget=0)
+        g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], dropped=True)
         assert g.linearize() != base
         g = build_demo_graph()
         g.memory_bank[0] = dataclasses.replace(g.memory_bank[0], saliency=0)
@@ -299,22 +299,27 @@ class TestLinearize:
         first = g.linearize()
         item = g.memory_bank[0]
         assert not item.dropped
-        g.memory_bank[0] = dataclasses.replace(item, allocated_budget=item.allocated_budget - 1)
+        # budgets live in the assignment alone: a new split renders the same
+        assignment = shape_memory(g, EnergyParams(top_k=1, s_total=7))
+        assert assignment.budgets == {0: 7}
+        assert g.memory_bank[0] is item
+        assert g.linearize() == first
+        g.memory_bank[0] = dataclasses.replace(item, priority=item.priority - 1)
         second = g.linearize()
         assert second != first
         assert second == MemoryGraph.from_dict(g.to_dict()).linearize()
-        g.memory_bank[0] = dataclasses.replace(item, allocated_budget=1)
-        assert '"budget":1,' in g.linearize()
+        g.memory_bank[0] = dataclasses.replace(item, saliency=1)
+        assert '"saliency":1,' in g.linearize()
         # equal to 1 in Python, but not in JSON
-        g.memory_bank[0] = dataclasses.replace(item, allocated_budget=True)
-        assert '"budget":true,' in g.linearize()
+        g.memory_bank[0] = dataclasses.replace(item, saliency=True)
+        assert '"saliency":true,' in g.linearize()
 
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["add", "populate", "answer", "shape", "summary", "budget", "step",
+                    ["add", "populate", "answer", "shape", "summary", "priority", "step",
                      "dropped", "saliency", "append", "retype"]
                 ),
                 st.integers(min_value=0, max_value=2**32 - 1),
@@ -348,14 +353,14 @@ class TestLinearize:
             elif op == "summary" and searches:
                 i = rng.choice(searches).index
                 g.nodes[i] = dataclasses.replace(g.nodes[i], summary=f"edited {seed}")
-            elif op == "budget" and live:
+            elif op == "priority" and live:
                 k = rng.choice(live).ordinal
-                items[k] = dataclasses.replace(items[k], allocated_budget=rng.randint(0, 5))
+                items[k] = dataclasses.replace(items[k], priority=rng.randint(1, 5))
             elif op == "step":
                 g.step += 1
             elif op == "dropped" and live:
                 k = rng.choice(live).ordinal
-                items[k] = dataclasses.replace(items[k], dropped=True, allocated_budget=0)
+                items[k] = dataclasses.replace(items[k], dropped=True)
             elif op == "saliency" and items:
                 k = rng.randrange(len(items))
                 items[k] = dataclasses.replace(items[k], saliency=rng.choice([0, 1]))
@@ -379,7 +384,7 @@ class TestLinearize:
             st.tuples(
                 st.sampled_from(
                     ["retitle", "swap_item", "swap_node", "edit_items", "deepcopy", "pickle",
-                     "add", "populate", "shape", "budget"]
+                     "add", "populate", "shape", "priority"]
                 ),
                 st.integers(min_value=0, max_value=2**32 - 1),
             ),
@@ -438,11 +443,11 @@ class TestLinearize:
                     g.populate_node(node.index, f"summary {seed}", refs)
             elif op == "shape":
                 shape_memory(g, EnergyParams(top_k=rng.randint(1, 3), s_total=1000))
-            elif op == "budget":
+            elif op == "priority":
                 live = [item for item in bank if not item.dropped]
                 if live:
                     k = rng.choice(live).ordinal
-                    bank[k] = dataclasses.replace(bank[k], allocated_budget=rng.randint(0, 5))
+                    bank[k] = dataclasses.replace(bank[k], priority=rng.randint(1, 5))
             for graph in (g, previous) if previous is not None else (g,):
                 assert graph.linearize() == MemoryGraph.from_dict(graph.to_dict()).linearize()
 
@@ -479,9 +484,7 @@ class TestEvictedItemsLeftOut:
             if live and rng.random() < 0.5:
                 before = g.linearize()
                 k = rng.choice(live).ordinal
-                g.memory_bank[k] = dataclasses.replace(
-                    g.memory_bank[k], dropped=True, allocated_budget=0
-                )
+                g.memory_bank[k] = dataclasses.replace(g.memory_bank[k], dropped=True)
                 assert g.linearize() != before
                 self.check(g)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from graphmem.protocol import (
     render_observation,
     serialize_action,
 )
-from graphmem.retrieval import search
+from graphmem.retrieval import Modality, Observation, search
 from helpers import random_action, random_text
 
 
@@ -234,6 +235,11 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             format_timestamp(-1.0)
 
+    def test_any_finite_float(self):
+        # past the 28 digits of the default decimal context
+        assert format_timestamp(1e27) == f"<1{'0' * 27}.0 seconds>"
+        assert format_timestamp(sys.float_info.max) == f"<17976931348623157{'0' * 292}.0 seconds>"
+
 
 class TestRenderContext:
     def test_fresh_graph_empty_attachments(self):
@@ -303,6 +309,15 @@ class TestRenderObservation:
         obs = observations[0]
         for ts, _ in obs.frames:
             assert format_timestamp(ts) in text
+
+    def test_clip_bounds_from_1e27_seconds(self):
+        obs = Observation(
+            "Video 1", "v", Modality.VIDEO, 0.5, "huge", clip_start_s=1e27, clip_end_s=2e27,
+            frames=((1.5e27, "frame://v"),),
+        )
+        text = render_observation([obs])
+        assert f"[clip <1{'0' * 27}.0 seconds> to <2{'0' * 27}.0 seconds>]" in text
+        assert f"<15{'0' * 26}.0 seconds>" in text
 
     def test_empty_observations(self):
         assert render_observation([]) == "### Retrieved Multimodal Information\n(no results)\n"

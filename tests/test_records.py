@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmem.canon import canonical_dumps
+from graphmem.cli import main
 from graphmem.energy import BudgetAssignment, ItemModality, VisualItem
 from graphmem.graph import CorruptGraph, MemoryGraph, MemoryNode, NodeKind
 from graphmem.retrieval import BadManifest, CorpusItem, Modality, Observation, load_manifest
@@ -142,16 +143,12 @@ json_values = st.none() | st.booleans() | ints | floats | texts
 json_objects = st.dictionaries(texts, json_values | st.lists(json_values, max_size=3), max_size=4)
 
 
-@st.composite
-def visual_items(draw) -> VisualItem:
-    dropped = draw(st.booleans())
-    return VisualItem(
-        ordinal=draw(ints), owner_node=draw(ints), slot=draw(ints),
-        modality=draw(st.sampled_from(ItemModality)), payload_ref=draw(texts),
-        saliency=draw(st.sampled_from([0, 1])), priority=draw(st.integers(1, 5)),
-        source_timestamp_s=draw(st.none() | floats),
-        allocated_budget=0 if dropped else draw(st.integers(0, 10**9)), dropped=dropped,
-    )
+visual_items = st.builds(
+    VisualItem, ordinal=ints, owner_node=ints, slot=ints,
+    modality=st.sampled_from(ItemModality), payload_ref=texts,
+    saliency=st.sampled_from([0, 1]), priority=st.integers(1, 5),
+    source_timestamp_s=st.none() | floats, dropped=st.booleans(),
+)
 
 
 memory_nodes = st.builds(
@@ -185,7 +182,7 @@ def assignments(draw) -> BudgetAssignment:
 
 
 cycle_records = st.builds(
-    CycleRecord, cycle=ints, step=ints, prompt_digest=texts, prompt_chars=ints,
+    CycleRecord, cycle=ints, prompt_digest=texts, prompt_chars=ints,
     response=texts, action=json_objects, kind=st.sampled_from(["retrieve", "answer"]),
     node_index=ints, assignment=assignments(),
     observations=st.lists(observations, max_size=2).map(tuple),
@@ -195,7 +192,7 @@ cycle_records = st.builds(
 
 
 RECORDS = {
-    VisualItem: visual_items(),
+    VisualItem: visual_items,
     MemoryNode: memory_nodes,
     CorpusItem: corpus_items(),
     Observation: observations,
@@ -209,3 +206,35 @@ RECORDS = {
 def test_written_record_reads_back_to_the_same_bytes(cls, data):
     written = canonical_dumps(data.draw(RECORDS[cls]).to_dict())
     assert canonical_dumps(cls.from_dict(json.loads(written)).to_dict()) == written
+
+
+@pytest.mark.parametrize("value", [True, 12.0, "12", None], ids=["true", "float", "string", "null"])
+@pytest.mark.parametrize("key", ["cycle", "prompt_chars", "node_index", "memorize_prompt_chars"])
+def test_count_that_is_not_an_int_is_typed_error(key, value, tmp_path):
+    doc, load, error = _edited("cycle record", lambda record: record.update({key: value}))
+    with pytest.raises(error, match=f"{key} must be an int"):
+        load(doc, tmp_path)
+
+
+def test_keys_older_files_hold_are_ignored(tmp_path):
+    """Files written while each bank item kept a copy of its budget
+    (``allocated_budget``) and each cycle record a copy of its assignment's
+    step (``step``) read as the same trajectory and prune to the same batch."""
+    text = (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8")
+    meta, *records = map(json.loads, text.splitlines())
+    budgets = dict(records[-1]["assignment"]["budgets"])
+    for item in meta["graph"]["memory_bank"]:
+        item["allocated_budget"] = budgets.get(item["ordinal"], 0)
+    for record in records:
+        record["step"] = record["assignment"]["step"]
+    old = "".join(canonical_dumps(line) + "\n" for line in [meta, *records])
+    assert Trajectory.from_jsonl(old).to_jsonl() == text
+    batches = []
+    for name, content in (("old", old), ("new", text)):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "t.jsonl"
+        path.write_text(content, encoding="utf-8")
+        batch = tmp_path / name / "b.jsonl"
+        assert main(["prune", "--trajectories", str(path), "--out-batch", str(batch)]) == 0
+        batches.append(batch.read_bytes())
+    assert batches[0] == batches[1]

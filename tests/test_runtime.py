@@ -186,8 +186,9 @@ class TestRunEpisode:
 
     def test_prompt_embeds_current_step_budgets(self, toy_corpus):
         trajectory = run_demo(toy_corpus)
+        # each earlier retrieve added one search node, one step
         for record in trajectory.records:
-            assert record.assignment.step == record.step
+            assert record.assignment.step == record.cycle
 
     def test_video_keyframes_seeded(self, toy_corpus):
         trajectory = run_demo(toy_corpus)
