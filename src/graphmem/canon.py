@@ -23,7 +23,7 @@ import types
 import typing
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .errors import DomainError
@@ -45,13 +45,33 @@ def canonical_dumps(obj: Any) -> str:
     )
 
 
-def is_finite_number(value: object) -> bool:
-    """An int or float a float holds finitely; a bool is not a number.
-    Compared, not converted: an int too large for a float is not finite."""
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
+def is_json_type(value: object, kind: type) -> bool:
+    """Whether ``value`` holds the JSON type of the annotation ``kind``: a
+    bool only as a bool, an int never as a bool, a float as any int or float
+    that a float holds finitely (compared, not converted), and a str, list
+    or dict only as itself."""
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
+# what a value must be, by the annotation ``is_json_type`` checks it against
+JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+                   str: "a string", list: "a list", dict: "an object"}
+
+
+def require_json_type(value: object, kind: type, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``is_json_type(value, kind)``."""
+    if not is_json_type(value, kind):
+        raise ValueError(f"{name} must be {JSON_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def require_json_types(values: Iterable, kind: type, name: str) -> None:
+    """``require_json_type`` of each of ``values``, most of which pass on one test."""
+    exact = None if kind is float else kind
+    for value in values:
+        if type(value) is not exact:
+            require_json_type(value, kind, name)
 
 
 def sha256_hex(text: str) -> str:
@@ -163,8 +183,8 @@ class Record:
       reading converts back;
     - a field whose type admits ``None`` is left out while it is ``None``,
       and its key may be missing; a ``null`` there reads as ``None``;
-    - every other key must be present, and a ``null`` in it is converted
-      like any other value, so it fails where the type needs a conversion.
+    - every other key must be present, and a value or list element not of
+      its field's JSON type (``is_json_type``) is a ``ValueError`` naming it.
 
     A subclass names its exceptions in its class statement: ``keep_null``
     fields are written as ``null`` and must be present, ``omit_empty``
@@ -193,9 +213,12 @@ class Record:
     @classmethod
     def from_dict(cls, record: dict):
         values = []
-        for name, default, decode in _codec(cls)[1]:
+        for name, default, decode, exact, kind, nullable in _codec(cls)[1]:
             value = record[name] if default is dataclasses.MISSING else record.get(name, default)
-            values.append(value if decode is None else decode(value))
+            # inline, as in require_json_types: most values pass on one test
+            if type(value) is not exact and not (value is None and nullable):
+                require_json_type(value, kind, name)
+            values.append(value if decode is None or value is None else decode(value))
         return cls(*values)
 
 
@@ -207,43 +230,52 @@ def _codec(cls: type) -> tuple[tuple, tuple]:
     writers, readers = [], []
     for field in dataclasses.fields(cls):
         name = field.name
-        encode, decode = _converters(hints[name])
-        omit_none = type(None) in typing.get_args(hints[name]) and name not in keep_null
+        encode, decode, kind = _converters(hints[name], name)
+        nullable = type(None) in typing.get_args(hints[name])
+        omit_none = nullable and name not in keep_null
         may_miss = omit_none or name in omit_empty or name in optional
         writers.append((name, encode, omit_none, name in omit_empty))
-        # a field without a default is read as required all the same
-        readers.append((name, field.default if may_miss else dataclasses.MISSING, decode))
+        # a field without a default is read as required all the same, and a
+        # default is read in its JSON form
+        default = field.default if may_miss else dataclasses.MISSING
+        if encode is not None and default not in (None, dataclasses.MISSING):
+            default = encode(default)
+        exact = None if kind is float else kind
+        readers.append((name, default, decode, exact, kind, nullable))
     return tuple(writers), tuple(readers)
 
 
-def _converters(tp: Any) -> tuple[Callable | None, Callable | None]:
-    """How a value of type ``tp`` is written to JSON and read back; None
-    where it passes unchanged."""
+def _converters(tp: Any, name: str) -> tuple[Callable | None, Callable | None, type]:
+    """How a value of type ``tp`` is written to JSON and read back, None
+    where it passes unchanged, and the JSON type it is written as.  The
+    reader of a list checks each element, naming it after ``name``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union or origin is types.UnionType:
         (inner,) = [arg for arg in args if arg is not type(None)]
-        encode, decode = _converters(inner)
-        if decode is None:
-            return encode, None
-        return encode, lambda value: None if value is None else decode(value)
+        return _converters(inner, name)
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return operator.attrgetter("value"), tp
+        return operator.attrgetter("value"), tp, type(next(iter(tp)).value)
     if hasattr(tp, "from_dict"):
-        return tp.to_dict, tp.from_dict
+        return tp.to_dict, tp.from_dict, dict
     if origin is frozenset or (origin is tuple and args[1:] == (...,)):
-        encode, decode = _converters(args[0])
+        element = f"{name}[]"
+        encode, decode, kind = _converters(args[0], element)
         written = sorted if origin is frozenset else list
-        return (
-            written if encode is None else lambda value: written(map(encode, value)),
-            origin if decode is None else lambda value: origin(map(decode, value)),
-        )
+
+        def read(value: list):
+            require_json_types(value, kind, element)
+            return origin(value if decode is None else map(decode, value))
+
+        return written if encode is None else lambda value: written(map(encode, value)), read, list
     if origin is tuple:  # a fixed-length tuple of plain values
-        return list, functools.partial(_fixed_tuple, len(args))
-    return None, None
+        return list, functools.partial(_fixed_tuple, args, name), list
+    return None, None, tp
 
 
-def _fixed_tuple(length: int, value: Any) -> tuple:
-    value = tuple(value)
-    if len(value) != length:
-        raise ValueError(f"expected {length} values, got {len(value)}")
-    return value
+def _fixed_tuple(kinds: tuple[type, ...], name: str, value: list) -> tuple:
+    if len(value) != len(kinds):
+        raise ValueError(f"{name} must hold {len(kinds)} values, got {len(value)}")
+    for index, (item, kind) in enumerate(zip(value, kinds)):
+        if type(item) is not kind or kind is float:  # inline, as in require_json_types
+            require_json_type(item, kind, f"{name}[{index}]")
+    return tuple(value)

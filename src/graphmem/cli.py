@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from .canon import canonical_dumps, parse_json, read_json, read_text, write_text_atomic
-from .config import Config, ConfigError, dump_config, load_config
+from .config import Config, dump_config, load_config
 from .errors import DomainError
 from .retrieval import (
     Modality,
@@ -117,26 +117,6 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_overrides(config: Config, overrides: list[str]) -> Config:
-    """Apply repeatable ``--set field=value`` flags on top of the config file.
-    Values parse as JSON, falling back to plain strings."""
-    from dataclasses import asdict, fields
-
-    if not overrides:
-        return config
-    known = {f.name for f in fields(Config)}
-    record = asdict(config)
-    for override in overrides:
-        field_name, _, raw = override.partition("=")
-        if not _ or field_name not in known:
-            raise ConfigError(f"bad override {override!r}; use one of {sorted(known)}")
-        try:
-            record[field_name] = parse_json(raw)
-        except json.JSONDecodeError:
-            record[field_name] = raw
-    return Config(**record)
-
-
 def _read_queries(path: str) -> list[dict]:
     """Batch mode input: one JSON object per line with a "query" string and
     an optional "gold" string.  Every line is checked before any episode
@@ -193,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise BadArgument(
                 f"{flag} is not UTF-8 text: {exc.reason} at offset {exc.start}"
             ) from None
-    config = _apply_overrides(load_config(args.config), args.set or [])
+    config = load_config(args.config, args.set or ())
     out_dir = Path(args.out_dir or config.output_dir)
     if args.query is not None:
         out_path = Path(args.out) if args.out else out_dir / "trajectory.jsonl"
@@ -350,8 +330,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_config_dump(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else Config()
-    print(dump_config(config), end="")
+    print(dump_config(load_config(args.config)), end="")
     return 0
 
 

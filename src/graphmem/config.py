@@ -6,10 +6,12 @@ keeps its default, unknown keys are rejected (they are almost always typos).
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterable, get_type_hints
 
-from .canon import canonical_dumps, is_finite_number, read_json, read_text
+from .canon import JSON_TYPE_NAMES, canonical_dumps, is_json_type, parse_json, read_json, read_text
 from .energy import EnergyParams
 from .errors import DomainError
 from .protocol import DEFAULT_INSTRUCTION
@@ -18,22 +20,6 @@ from .runtime import EpisodeConfig, TOKEN_ENV_DEFAULT
 
 class ConfigError(DomainError):
     pass
-
-
-# a field's annotation -> what its value must be
-_KINDS = {"bool": "true or false", "int": "an integer", "float": "a finite number", "str": "a string"}
-
-
-def _has_type(annotation: str, value: object) -> bool:
-    """A bool only as a bool, an int not as a bool, a float as a finite int
-    or float, a str as a string."""
-    if isinstance(value, bool):
-        return annotation == "bool"
-    if annotation == "int":
-        return isinstance(value, int)
-    if annotation == "float":
-        return is_finite_number(value)
-    return isinstance(value, {"bool": bool, "str": str}[annotation])
 
 
 @dataclass
@@ -66,10 +52,10 @@ class Config:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(f.type, value):
-                raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, got {value!r}")
+        for name, kind in get_type_hints(Config).items():
+            value = getattr(self, name)
+            if not is_json_type(value, kind):
+                raise ConfigError(f"{name} must be {JSON_TYPE_NAMES[kind]}, got {value!r}")
         if self.policy_timeout_s <= 0:
             raise ConfigError(f"policy_timeout_s must be > 0, got {self.policy_timeout_s!r}")
         if self.policy_mode not in ("scripted", "remote"):
@@ -111,21 +97,28 @@ class Config:
         return value
 
 
-def load_config(path: str | Path | None) -> Config:
-    """Defaults plus overrides from a JSON config file (when given)."""
-    if path is None:
-        return Config()
-    record = read_json(path, ConfigError)
-    if not isinstance(record, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+def load_config(path: str | Path | None = None, overrides: Iterable[str] = ()) -> Config:
+    """The defaults, then the fields a JSON config file sets (when given),
+    then ``field=value`` overrides, whose values parse as JSON, falling back
+    to plain strings."""
+    record = {}
+    if path is not None:
+        record = read_json(path, ConfigError)
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+    for override in overrides:
+        name, equals, raw = override.partition("=")
+        if not equals:
+            raise ConfigError(f"bad override {override!r}; use field=value")
+        try:
+            record[name] = parse_json(raw)
+        except json.JSONDecodeError:
+            record[name] = raw
     known = {f.name for f in fields(Config)}
     unknown = sorted(set(record) - known)
     if unknown:
-        raise ConfigError(f"{path}: unknown config fields {unknown}")
-    try:
-        return Config(**record)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"unknown config fields {unknown}; use one of {sorted(known)}")
+    return Config(**record)
 
 
 def dump_config(config: Config) -> str:

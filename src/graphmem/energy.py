@@ -15,10 +15,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .canon import Record
+from .canon import Record, is_json_type, require_json_type, require_json_types
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -42,8 +43,8 @@ class ItemModality(str, Enum):
 
 
 def is_priority(value: object) -> bool:
-    """A priority score is an int, not a bool, in [1, 5]."""
-    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= 5
+    """A priority score is an integer in [1, 5]."""
+    return is_json_type(value, int) and 1 <= value <= 5
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,16 @@ class BudgetAssignment:
 
     @classmethod
     def from_dict(cls, record: dict) -> "BudgetAssignment":
-        return cls(
-            retained=tuple(record["retained"]),
-            budgets={ordinal: budget for ordinal, budget in record["budgets"]},
-            slack=record["slack"],
-            step=record["step"],
-        )
+        """Read an assignment; a value of the wrong JSON type is a ``ValueError``."""
+        retained, pairs = record["retained"], record["budgets"]
+        require_json_type(retained, list, "retained")
+        require_json_type(pairs, list, "budgets")
+        require_json_types(pairs, list, "budgets[]")
+        for name, values in (("retained[]", retained), ("budgets[][]", chain(*pairs)),
+                             ("slack", [record["slack"]]), ("step", [record["step"]])):
+            require_json_types(values, int, name)
+        # a pair of other than 2 values is a ValueError here
+        return cls(tuple(retained), dict(pairs), record["slack"], record["step"])
 
 
 def normalize_priority(priority: int) -> float:

@@ -15,7 +15,7 @@ from enum import Enum
 from operator import is_
 from typing import Iterable, Sequence
 
-from .canon import Record, canonical_dumps, normalize_text
+from .canon import Record, canonical_dumps, normalize_text, require_json_type
 from .energy import VisualItem
 from .errors import DomainError
 
@@ -215,16 +215,24 @@ class MemoryGraph:
 
     # -- mutations (single writer) ----------------------------------------
 
-    def add_search_node(self, title: str, parent_titles: Iterable[str], query: str) -> int:
+    def _check_open(self) -> None:
         if self.is_terminal:
             raise GraphTerminal("graph already has an answer node")
+
+    def _parents(self, parent_titles: Iterable[str], node: str) -> frozenset[int]:
+        """The indices of a new ``node``'s parents, of which it needs one or more."""
+        parents = frozenset(self.resolve_title(t) for t in parent_titles)
+        if not parents:
+            raise UnknownParent(f"{node} needs at least one parent")
+        return parents
+
+    def add_search_node(self, title: str, parent_titles: Iterable[str], query: str) -> int:
+        self._check_open()
         if not title:
             raise BadTitle("search node title must be non-empty")
         if any(node.title == title for node in self.nodes):
             raise DuplicateTitle(f"title already in use: {title!r}")
-        parents = frozenset(self.resolve_title(t) for t in parent_titles)
-        if not parents:
-            raise UnknownParent("a search node needs at least one parent")
+        parents = self._parents(parent_titles, "a search node")
         self.step += 1
         node = MemoryNode(
             index=len(self.nodes),
@@ -239,8 +247,7 @@ class MemoryGraph:
         return node.index
 
     def _open_search_node(self, index: int) -> MemoryNode:
-        if self.is_terminal:
-            raise GraphTerminal("graph already has an answer node")
+        self._check_open()
         node = self.node_at(index)
         if node.kind is not _SEARCH:
             raise NotASearchNode(f"node {index} is a {node.kind.value} node")
@@ -274,11 +281,8 @@ class MemoryGraph:
         self.populate_node(node.index, summary, [item.ordinal for item in items])
 
     def add_answer_node(self, parent_titles: Iterable[str], answer: str) -> int:
-        if self.is_terminal:
-            raise GraphTerminal("graph already has an answer node")
-        parents = frozenset(self.resolve_title(t) for t in parent_titles)
-        if not parents:
-            raise UnknownParent("an answer node needs at least one parent")
+        self._check_open()
+        parents = self._parents(parent_titles, "an answer node")
         node = MemoryNode(
             index=len(self.nodes),
             kind=NodeKind.ANSWER,
@@ -293,8 +297,7 @@ class MemoryGraph:
 
     def append_item(self, item: VisualItem) -> int:
         """Append a fully-identified item to the memory bank."""
-        if self.is_terminal:
-            raise GraphTerminal("graph already has an answer node")
+        self._check_open()
         if item.ordinal != len(self.memory_bank):
             raise BadItemRef(
                 f"item ordinal {item.ordinal} does not match bank position {len(self.memory_bank)}"
@@ -370,6 +373,8 @@ class MemoryGraph:
                 f"expected schema {GRAPH_SCHEMA!r}, got {record.get('schema')!r}"
             )
         try:
+            require_json_type(record["root_query"], str, "root_query")
+            require_json_type(record["step"], int, "step")
             graph = cls(
                 root_query=record["root_query"],
                 nodes=[MemoryNode.from_dict(n) for n in record["nodes"]],

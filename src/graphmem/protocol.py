@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, Iterable, Union
 
-from .canon import canonical_dumps, parse_json
+from .canon import JSON_TYPE_NAMES, canonical_dumps, is_json_type, parse_json
 from .energy import is_priority
 from .errors import DomainError
 
@@ -168,12 +168,8 @@ def _require(args: dict, key: str, kind: type, *, allow_empty: bool = False):
     if key not in args:
         raise SchemaViolation(f"missing required field {key!r}")
     value = args[key]
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise SchemaViolation(f"field {key!r} must be a boolean")
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaViolation(f"field {key!r} must be a {kind.__name__}")
+    if not is_json_type(value, kind):
+        raise SchemaViolation(f"field {key!r} must be {JSON_TYPE_NAMES[kind]}")
     if kind is str and not allow_empty and not value.strip():
         raise SchemaViolation(f"field {key!r} must be non-empty")
     return value
@@ -195,12 +191,12 @@ def _parse_priority(entry: dict, warnings: list[str]) -> int:
     if "priority_score" not in entry:
         raise SchemaViolation("missing required field 'priority_score'")
     value = entry["priority_score"]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaViolation("field 'priority_score' must be a number")
-    if isinstance(value, float):
-        if not value.is_integer():
+    if is_json_type(value, float):  # a finite number; 4.0 stands for 4
+        if value % 1:
             raise SchemaViolation("field 'priority_score' must be an integer")
         value = int(value)
+    elif not is_json_type(value, int):  # an integer too large for a float is clamped
+        raise SchemaViolation("field 'priority_score' must be a number")
     if not 1 <= value <= 5:
         warnings.append(WARN_PRIORITY_CLAMPED)
         value = min(5, max(1, value))
@@ -209,17 +205,11 @@ def _parse_priority(entry: dict, warnings: list[str]) -> int:
 
 def _parse_timestamps(entry: dict) -> tuple[float, ...]:
     value = entry.get("key_timestamp", [])
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = [value]
-    if not isinstance(value, list):
-        raise SchemaViolation("field 'key_timestamp' must be a list of seconds")
+    if not is_json_type(value, list):
+        value = [value]  # one timestamp
     out = []
     for ts in value:
-        if (
-            isinstance(ts, bool)
-            or not isinstance(ts, (int, float))
-            or not 0 <= ts < _TIMESTAMP_LIMIT_S
-        ):
+        if not (is_json_type(ts, float) and 0 <= ts < _TIMESTAMP_LIMIT_S):
             raise SchemaViolation(
                 f"key timestamps must be numbers >= 0 and below {_TIMESTAMP_LIMIT_S:g}"
             )

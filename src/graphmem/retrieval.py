@@ -31,7 +31,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .canon import Record, canonical_dumps, is_finite_number, read_json, write_text_atomic
+from .canon import Record, canonical_dumps, is_json_type, read_json, write_text_atomic
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -93,14 +93,11 @@ class CorpusItem(Record, optional=("asset_ref",)):
     asset_ref: str = ""
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.id, str) and isinstance(self.content, str)
-                and isinstance(self.asset_ref, str)):
-            raise TypeError(f"corpus item {self.id!r}: id, content and asset_ref must be strings")
         if not self.id:
             raise ValueError("corpus item id must be non-empty")
         if self.modality is Modality.VIDEO:
             # a finite positive duration gives the video at least one clip
-            if not (is_finite_number(self.duration_s) and self.duration_s > 0):
+            if not (is_json_type(self.duration_s, float) and self.duration_s > 0):
                 raise ValueError(f"video {self.id!r} needs a finite numeric duration_s > 0")
         elif self.duration_s is not None:
             raise ValueError(f"non-video {self.id!r} must not carry a duration")
@@ -473,13 +470,13 @@ def load_corpus(path: str | Path) -> Corpus:
     clip_len_s = record.get("clip_len_s")
     embed_dim = record.get("embed_dim")
     embed_seed = record.get("embed_seed")
-    if not is_finite_number(clip_len_s):
+    if not is_json_type(clip_len_s, float):
         raise BadManifest(f"{path}: 'clip_len_s' must be a finite number, got {clip_len_s!r}")
-    if not _is_int(embed_dim) or not 1 <= embed_dim <= EMBED_DIM_MAX:
+    if not is_json_type(embed_dim, int) or not 1 <= embed_dim <= EMBED_DIM_MAX:
         raise BadManifest(
             f"{path}: 'embed_dim' must be an integer in [1, {EMBED_DIM_MAX}], got {embed_dim!r}"
         )
-    if not _is_int(embed_seed) or not 0 <= embed_seed < 2**64:
+    if not is_json_type(embed_seed, int) or not 0 <= embed_seed < 2**64:
         raise BadManifest(
             f"{path}: 'embed_seed' must be an integer in [0, 2**64), got {embed_seed!r}"
         )
@@ -543,7 +540,3 @@ def _read_postings(stored: object, embed_dim: int, n_items: int, origin: str) ->
     if not np.all((vals > 0) & (vals < math.inf)):
         raise bad("vals", "must be finite and > 0")
     return Postings(start, rows, vals)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

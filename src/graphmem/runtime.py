@@ -28,6 +28,7 @@ from urllib.parse import urlsplit
 from .canon import (
     Record,
     canonical_dumps,
+    is_json_type,
     normalize_text,
     parse_json,
     read_json,
@@ -313,8 +314,8 @@ class EpisodeConfig:
 class CycleRecord(Record, keep_null=("memorize_action",)):
     """Everything one cycle produced: the prompt fingerprint, the raw and
     parsed responses of both turns, the observations, and the shaping
-    assignment in force when the prompt was rendered.  The counts are ints,
-    so a file holding anything else there is refused when it is read."""
+    assignment in force when the prompt was rendered.  The counts are never
+    negative, and the kind is "retrieve" or "answer"."""
 
     cycle: int
     prompt_digest: str
@@ -331,9 +332,10 @@ class CycleRecord(Record, keep_null=("memorize_action",)):
 
     def __post_init__(self) -> None:
         for name in ("cycle", "prompt_chars", "node_index", "memorize_prompt_chars"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is not a count
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.kind not in ("retrieve", "answer"):
+            raise ValueError(f"kind must be 'retrieve' or 'answer', got {self.kind!r}")
 
 
 @dataclass
@@ -402,7 +404,7 @@ class Trajectory:
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorruptSession(f"malformed trajectory record: {exc}") from exc
         reward = trajectory.reward  # true and 1.0 both equal 1
-        if reward is not None and (type(reward) is not int or reward not in (0, 1)):
+        if reward is not None and not (is_json_type(reward, int) and reward in (0, 1)):
             raise CorruptSession(f"trajectory reward must be null, 0 or 1, got {reward!r}")
         derived = (trajectory.query, trajectory.answer_text, trajectory.truncated)
         # types too: 1 == True, but the graph says true

@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .canon import canonical_dumps, parse_json
+from .canon import canonical_dumps, is_json_type, parse_json
 from .errors import DomainError
 from .retrieval import Corpus, RetrievalError, search
 
@@ -94,8 +94,7 @@ def make_search_server(
                 k = request.get("k", default_k)
                 if not isinstance(query, str):
                     raise ValueError("query must be a string")
-                # a bool, a float or a numeric string is not a count
-                if type(k) is not int:
+                if not is_json_type(k, int):
                     raise ValueError(f"k must be a JSON integer, got {type(k).__name__}")
                 if k > MAX_K:
                     raise ValueError(f"k must be <= {MAX_K}, got {k}")

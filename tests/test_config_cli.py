@@ -913,6 +913,54 @@ def test_count_that_is_not_an_int_is_corrupt_session(tmp_path, capsys, command, 
     assert not list(tmp_path.glob("[sb].json*"))
 
 
+def _edit_root_query(lines: list[dict]) -> None:
+    lines[0]["query"] = lines[0]["graph"]["root_query"] = 7
+
+
+def _edit_budgets(lines: list[dict]) -> None:
+    assignment = lines[-1]["assignment"]
+    assignment["budgets"] = [[ordinal, str(budget)] for ordinal, budget in assignment["budgets"]]
+
+
+# name: (edit of the golden trajectory's parsed lines, the error it gives);
+# a fault in the meta line's graph is the graph's own error
+EDITED_TRAJECTORIES = {
+    "node query 7": (lambda lines: lines[0]["graph"]["nodes"][1].update(query=7), "CorruptGraph"),
+    "root query 7": (_edit_root_query, "CorruptGraph"),
+    "node title 5": (lambda lines: lines[0]["graph"]["nodes"][1].update(title=5), "CorruptGraph"),
+    "populated 1": (
+        lambda lines: lines[0]["graph"]["nodes"][1].update(populated=1), "CorruptGraph"
+    ),
+    "response 5": (lambda lines: lines[1].update(response=5), "CorruptSession"),
+    "prompt_digest [1]": (lambda lines: lines[1].update(prompt_digest=[1]), "CorruptSession"),
+    "string budgets": (_edit_budgets, "CorruptSession"),
+    "source_id 5": (
+        lambda lines: lines[1]["observations"][0].update(source_id=5), "CorruptSession"
+    ),
+    "score x": (lambda lines: lines[1]["observations"][0].update(score="x"), "CorruptSession"),
+    "prompt_chars -5": (lambda lines: lines[1].update(prompt_chars=-5), "CorruptSession"),
+    "kind bogus": (lambda lines: lines[1].update(kind="bogus"), "CorruptSession"),
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "prune"])
+@pytest.mark.parametrize("case", list(EDITED_TRAJECTORIES))
+def test_edited_trajectory_is_one_typed_line(tmp_path, capsys, command, case):
+    edit, code = EDITED_TRAJECTORIES[case]
+    lines = [json.loads(line) for line in
+             (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8").splitlines()]
+    edit(lines)
+    path = _write(tmp_path / "t.jsonl", "".join(json.dumps(line) + "\n" for line in lines))
+    out = ["--out", str(tmp_path / "s.json")] if command == "stats" else [
+        "--out-batch", str(tmp_path / "b.jsonl")
+    ]
+    assert main([command, "--trajectories", path, *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{code}]: ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("[sb].json*"))
+
+
 def _remote_reply_run(tmp, base_url: str) -> list[str]:
     config = write_demo_config(
         tmp, policy_mode="remote", policy_base_url=base_url, policy_model="m",

@@ -373,8 +373,9 @@ class TestLinearize:
                 if ts is not None:
                     changes["source_timestamp_s"] = int(ts) if type(ts) is float else float(ts)
                 items[k] = dataclasses.replace(items[k], **changes)
-            text = g.linearize()
-            assert text == MemoryGraph.from_dict(g.to_dict()).linearize()
+            # a fresh graph of the same records has no lines to reuse
+            fresh = MemoryGraph(g.root_query, list(g.nodes), list(g.memory_bank), g.step)
+            assert g.linearize() == fresh.linearize()
 
 
     @settings(max_examples=150, deadline=None)
@@ -585,7 +586,8 @@ class TestValidateMessages:
             (("nodes", 1, "items"), [0, 8, 7], "node 1 references missing item 8"),
             (("nodes", 1, "items"), [0, 1, 4], "node 1 references missing item 4"),
             (("nodes", 2, "items"), [-1], "node 2 references missing item -1"),
-            (("nodes", 1, "items"), [0, 1, float("nan")], "node 1 references missing item nan"),
+            (("nodes", 1, "items"), [0, 1, float("nan")],
+             "malformed graph record: items[] must be an integer, got nan"),
             (("nodes", 2, "parent_indices"), [1, 2], "node 2 has a parent at or above its own index"),
             (("nodes", 2, "parent_indices"), [-1, 1], "node 2 has a negative parent index"),
             (("memory_bank", 2, "ordinal"), 5, "bank item ordinal 5 at position 2"),

@@ -74,6 +74,42 @@ def test_allowlist_names_exist_and_stay_uncalled():
         assert name not in referenced, f"{name} now has a caller; drop it from ALLOWED"
 
 
+def _type_rule_copies(tree: ast.AST) -> list[int]:
+    """Lines that write the JSON type rule by hand: ``isinstance`` with
+    ``bool`` among its types, or ``type(x) is int``, ``type(x) is not int``
+    (or ``bool``)."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        ) or (
+            isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(c, ast.Name) and c.id in ("int", "bool") for c in node.comparators)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_json_type_rule_is_written_once():
+    """Whether a value is a bool, an int or a number is decided by
+    ``canon.is_json_type`` alone; no other module writes the rule again."""
+    copies = {
+        module.name: lines
+        for module in sorted(PACKAGE.glob("*.py"))
+        if module.name != "canon.py"
+        and (lines := _type_rule_copies(ast.parse(module.read_text(encoding="utf-8"))))
+    }
+    assert copies == {}, f"type rule written outside canon.py (module: lines): {copies}"
+    # the scan finds each form it looks for
+    for form in ("isinstance(x, bool)", "isinstance(x, (int, bool))", "type(x) is int",
+                 "type(x) is not int", "type(x) is not bool"):
+        assert _type_rule_copies(ast.parse(form)) == [1], form
+
+
 def test_tracer_finds_every_name_it_rebinds():
     """The benchmark's tracer rebinds names in the program's modules (for
     example ``canonical_dumps`` in each module that imports it, and

@@ -72,6 +72,10 @@ SAMPLES = {
         _trajectory_lines, lambda doc: doc[1]["observations"][0], _load_trajectory,
         CorruptSession, {"asset_ref"}, {"modality"},
     ),
+    "assignment": (
+        _trajectory_lines, lambda doc: doc[-1]["assignment"], _load_trajectory, CorruptSession,
+        set(), set(),
+    ),
     "video corpus item": (
         _manifest, lambda doc: doc["items"][3], _load_manifest, BadManifest, {"asset_ref"},
         {"modality"},
@@ -113,6 +117,30 @@ def test_missing_required_key_is_typed_error(name, key, tmp_path):
         load(doc, tmp_path)
 
 
+# a value of another JSON type for each type a sample holds
+WRONG_TYPE = {int: True, float: "1.5", str: 5, bool: 1, dict: [], list: {}}
+
+
+@pytest.mark.parametrize("name, key", _cases(lambda keys, optional, enums: keys))
+def test_value_of_wrong_json_type_is_typed_error(name, key, tmp_path):
+    doc, load, error = _edited(
+        name, lambda record: record.update({key: WRONG_TYPE[type(record[key])]})
+    )
+    with pytest.raises(error):
+        load(doc, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("cycle", -1), ("prompt_chars", -5), ("node_index", -1), ("memorize_prompt_chars", -1),
+     ("kind", "bogus"), ("kind", "memorize")],
+)
+def test_count_below_zero_or_unknown_kind_is_typed_error(key, value, tmp_path):
+    doc, load, error = _edited("cycle record", lambda record: record.update({key: value}))
+    with pytest.raises(error, match=f"{key} must be "):
+        load(doc, tmp_path)
+
+
 @pytest.mark.parametrize("name, key", _cases(lambda keys, optional, enums: enums))
 def test_null_enum_is_typed_error(name, key, tmp_path):
     doc, load, error = _edited(name, lambda record: record.update({key: None}))
@@ -137,6 +165,7 @@ def test_segment_writes_every_field():
 # -- round trips ----------------------------------------------------------------
 
 ints = st.integers(-(10**9), 10**9)
+counts = st.integers(0, 10**9)
 texts = st.text(max_size=12)
 floats = st.floats(allow_nan=False, allow_infinity=False)
 json_values = st.none() | st.booleans() | ints | floats | texts
@@ -182,11 +211,11 @@ def assignments(draw) -> BudgetAssignment:
 
 
 cycle_records = st.builds(
-    CycleRecord, cycle=ints, prompt_digest=texts, prompt_chars=ints,
+    CycleRecord, cycle=counts, prompt_digest=texts, prompt_chars=counts,
     response=texts, action=json_objects, kind=st.sampled_from(["retrieve", "answer"]),
-    node_index=ints, assignment=assignments(),
+    node_index=counts, assignment=assignments(),
     observations=st.lists(observations, max_size=2).map(tuple),
-    memorize_prompt_chars=ints, memorize_response=texts,
+    memorize_prompt_chars=counts, memorize_response=texts,
     memorize_action=st.none() | json_objects,
 )
 
