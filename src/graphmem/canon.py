@@ -89,17 +89,23 @@ def read_text(path: str | Path, error: type["DomainError"]) -> str:
 
 def parse_json(text: str | bytes) -> Any:
     """``json.loads`` for input from outside the process.  Nesting too deep
-    for the parser raises ``json.JSONDecodeError``, as any other malformed
-    JSON does, not ``RecursionError``, so the caller's handler for bad JSON
-    turns it into the caller's typed error.  So does a lone UTF-16
-    surrogate, escaped or raw (bytes are decoded as ``json.loads`` decodes
-    them, surrogates passed): no output file could hold it as UTF-8."""
+    for the parser, and an integer literal of more digits than ``int``
+    converts, raise ``json.JSONDecodeError``, as any other malformed JSON
+    does, not ``RecursionError`` or a plain ``ValueError``, so the caller's
+    handler for bad JSON turns them into the caller's typed error.  So does
+    a lone UTF-16 surrogate, escaped or raw (bytes are decoded as
+    ``json.loads`` decodes them, surrogates passed): no output file could
+    hold it as UTF-8."""
     if isinstance(text, bytes):
         text = text.decode(json.detect_encoding(text), "surrogatepass")
     try:
         value = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", "", 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise json.JSONDecodeError("integer literal too long", "", 0) from None
     if not text.isascii() or _SURROGATE_ESCAPE_RE.search(text):
         _reject_lone_surrogates(text)
     return value
@@ -174,12 +180,15 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 class Record:
-    """Base of the dataclasses saved as JSON objects: graph nodes and bank
-    items, corpus items, observations, cycle records and training segments.
-    ``to_dict`` and ``from_dict`` follow each field's type:
+    """Base of the dataclasses saved as JSON objects: memory graphs with
+    their nodes and bank items, budget assignments, corpus items,
+    observations, cycle records, training segments and gold manifests.
+    ``to_dict`` and ``from_dict`` follow each field's type, and skip a field
+    that ``__init__`` does not take:
 
     - an enum is written as its value, a frozenset as a sorted list, a tuple
-      as a list, element by element, and a nested record as its dict;
+      or list as a list, element by element, a dict as a list of
+      ``[key, value]`` pairs in dict order, and a nested record as its dict;
       reading converts back;
     - a field whose type admits ``None`` is left out while it is ``None``,
       and its key may be missing; a ``null`` there reads as ``None``;
@@ -229,6 +238,8 @@ def _codec(cls: type) -> tuple[tuple, tuple]:
     hints = typing.get_type_hints(cls)
     writers, readers = [], []
     for field in dataclasses.fields(cls):
+        if not field.init:
+            continue
         name = field.name
         encode, decode, kind = _converters(hints[name], name)
         nullable = type(None) in typing.get_args(hints[name])
@@ -257,7 +268,7 @@ def _converters(tp: Any, name: str) -> tuple[Callable | None, Callable | None, t
         return operator.attrgetter("value"), tp, type(next(iter(tp)).value)
     if hasattr(tp, "from_dict"):
         return tp.to_dict, tp.from_dict, dict
-    if origin is frozenset or (origin is tuple and args[1:] == (...,)):
+    if origin in (frozenset, list) or (origin is tuple and args[1:] == (...,)):
         element = f"{name}[]"
         encode, decode, kind = _converters(args[0], element)
         written = sorted if origin is frozenset else list
@@ -269,7 +280,19 @@ def _converters(tp: Any, name: str) -> tuple[Callable | None, Callable | None, t
         return written if encode is None else lambda value: written(map(encode, value)), read, list
     if origin is tuple:  # a fixed-length tuple of plain values
         return list, functools.partial(_fixed_tuple, args, name), list
+    if origin is dict:  # plain keys and values, as [key, value] pairs
+        read = functools.partial(_read_pairs, args, name)
+        return lambda value: list(map(list, value.items())), read, list
     return None, None, tp
+
+
+def _read_pairs(kinds: tuple[type, type], name: str, value: list) -> dict:
+    element = f"{name}[]"
+    require_json_types(value, list, element)
+    pairs = dict(_fixed_tuple(kinds, element, pair) for pair in value)
+    if len(pairs) != len(value):
+        raise ValueError(f"{name} names a key twice")
+    return pairs
 
 
 def _fixed_tuple(kinds: tuple[type, ...], name: str, value: list) -> tuple:

@@ -17,10 +17,11 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .canon import canonical_dumps, parse_json, read_json, read_text, write_text_atomic
+from .canon import Record, canonical_dumps, parse_json, read_json, read_text, write_text_atomic
 from .config import Config, dump_config, load_config
 from .errors import DomainError
 from .retrieval import (
@@ -142,23 +143,26 @@ def _read_queries(path: str) -> list[dict]:
     return entries
 
 
-def _read_gold_manifest(path: str) -> dict[str, list[str]]:
-    record = read_json(path, BadInputFile)
-    gold: dict[str, list[str]] = {}
+@dataclass(frozen=True)
+class _GoldEntry(Record, optional=("gold_evidence_ids",)):
+    query: str
+    gold_evidence_ids: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _GoldManifest(Record, optional=("entries",)):
+    entries: tuple[_GoldEntry, ...] = ()
+
+
+def _read_gold_manifest(path: str) -> dict[str, tuple[str, ...]]:
     try:
-        for entry in record.get("entries", []):
-            ids = entry.get("gold_evidence_ids", [])
-            # a bare string would otherwise be split into its characters
-            if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
-                raise BadInputFile(
-                    f"{path}: gold_evidence_ids must be a list of strings, got {ids!r}"
-                )
-            gold[entry["query"]] = ids
-    except (AttributeError, KeyError, TypeError) as exc:
+        manifest = _GoldManifest.from_dict(read_json(path, BadInputFile))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadInputFile(
-            f'{path}: expected {{"entries": [{{"query": ..., "gold_evidence_ids": [...]}}]}}'
+            f'{path}: malformed gold manifest ({exc}); expected '
+            f'{{"entries": [{{"query": "...", "gold_evidence_ids": ["..."]}}]}}'
         ) from exc
-    return gold
+    return {entry.query: entry.gold_evidence_ids for entry in manifest.entries}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -240,7 +244,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     groups = []
     audits = []
     for query, group_trajectories in by_query.items():
-        group = prepare_group(group_trajectories, gold_by_query.get(query, []))
+        group = prepare_group(group_trajectories, gold_by_query.get(query, ()))
         groups.append(group)
         audits.append(audit_report(group, group_trajectories))
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, get_type_hints
 
-from .canon import JSON_TYPE_NAMES, canonical_dumps, is_json_type, parse_json, read_json, read_text
+from .canon import canonical_dumps, parse_json, read_json, read_text, require_json_type
 from .energy import EnergyParams
 from .errors import DomainError
 from .protocol import DEFAULT_INSTRUCTION
@@ -52,22 +52,20 @@ class Config:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for name, kind in get_type_hints(Config).items():
-            value = getattr(self, name)
-            if not is_json_type(value, kind):
-                raise ConfigError(f"{name} must be {JSON_TYPE_NAMES[kind]}, got {value!r}")
+        try:
+            for name, kind in get_type_hints(Config).items():
+                require_json_type(getattr(self, name), kind, name)
+            # the engine's own classes hold the range checks; run them now so
+            # a bad value fails at load time as a ConfigError
+            self._episode_config(DEFAULT_INSTRUCTION)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         if self.policy_timeout_s <= 0:
             raise ConfigError(f"policy_timeout_s must be > 0, got {self.policy_timeout_s!r}")
         if self.policy_mode not in ("scripted", "remote"):
             raise ConfigError(f"policy_mode must be 'scripted' or 'remote', got {self.policy_mode!r}")
         if self.judge_mode not in ("exact", "remote"):
             raise ConfigError(f"judge_mode must be 'exact' or 'remote', got {self.judge_mode!r}")
-        # the engine's own classes hold the range checks; run them now so a
-        # bad value fails at load time as a ConfigError
-        try:
-            self._episode_config(DEFAULT_INSTRUCTION)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
 
     def _episode_config(self, instruction: str) -> EpisodeConfig:
         energy = EnergyParams(

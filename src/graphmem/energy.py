@@ -15,11 +15,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .canon import Record, is_json_type, require_json_type, require_json_types
+from .canon import Record, is_json_type
 from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -111,36 +110,20 @@ class EnergyReport:
 
 
 @dataclass(frozen=True)
-class BudgetAssignment:
+class BudgetAssignment(Record):
     """Outcome of one shaping pass: the ranked retained ordinals, their token
     budgets, leftover tokens from floor rounding, and the step stamp used to
-    detect staleness."""
+    detect staleness.  The budgets name the retained ordinals, in order."""
 
     retained: tuple[int, ...]
     budgets: dict[int, int]
     slack: int
     step: int
 
-    def to_dict(self) -> dict:
-        return {
-            "retained": list(self.retained),
-            "budgets": [[ordinal, self.budgets[ordinal]] for ordinal in self.retained],
-            "slack": self.slack,
-            "step": self.step,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "BudgetAssignment":
-        """Read an assignment; a value of the wrong JSON type is a ``ValueError``."""
-        retained, pairs = record["retained"], record["budgets"]
-        require_json_type(retained, list, "retained")
-        require_json_type(pairs, list, "budgets")
-        require_json_types(pairs, list, "budgets[]")
-        for name, values in (("retained[]", retained), ("budgets[][]", chain(*pairs)),
-                             ("slack", [record["slack"]]), ("step", [record["step"]])):
-            require_json_types(values, int, name)
-        # a pair of other than 2 values is a ValueError here
-        return cls(tuple(retained), dict(pairs), record["slack"], record["step"])
+    def __post_init__(self) -> None:
+        if tuple(self.budgets) != self.retained:
+            raise ValueError(f"budgets {list(self.budgets)} must name the retained "
+                             f"ordinals {list(self.retained)} in order")
 
 
 def normalize_priority(priority: int) -> float:

@@ -15,7 +15,7 @@ from enum import Enum
 from operator import is_
 from typing import Iterable, Sequence
 
-from .canon import Record, canonical_dumps, normalize_text, require_json_type
+from .canon import Record, canonical_dumps, normalize_text
 from .energy import VisualItem
 from .errors import DomainError
 
@@ -103,7 +103,7 @@ class MemoryNode(Record):
 
 
 @dataclass
-class MemoryGraph:
+class MemoryGraph(Record):
     root_query: str
     nodes: list[MemoryNode] = field(default_factory=list)
     memory_bank: list[VisualItem] = field(default_factory=list)
@@ -356,13 +356,7 @@ class MemoryGraph:
     # -- persistence ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": GRAPH_SCHEMA,
-            "root_query": self.root_query,
-            "step": self.step,
-            "nodes": [node.to_dict() for node in self.nodes],
-            "memory_bank": [item.to_dict() for item in self.memory_bank],
-        }
+        return {"schema": GRAPH_SCHEMA, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, record: dict) -> "MemoryGraph":
@@ -373,14 +367,7 @@ class MemoryGraph:
                 f"expected schema {GRAPH_SCHEMA!r}, got {record.get('schema')!r}"
             )
         try:
-            require_json_type(record["root_query"], str, "root_query")
-            require_json_type(record["step"], int, "step")
-            graph = cls(
-                root_query=record["root_query"],
-                nodes=[MemoryNode.from_dict(n) for n in record["nodes"]],
-                memory_bank=[VisualItem.from_dict(i) for i in record["memory_bank"]],
-                step=record["step"],
-            )
+            graph = super().from_dict(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptGraph(f"malformed graph record: {exc}") from exc
         graph.validate()

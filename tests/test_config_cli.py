@@ -636,6 +636,9 @@ def _build_from_manifest(tmp_path, manifest_text: str) -> list[str]:
             "--out", str(tmp_path / "c.json")]
 
 
+# an integer literal past the 4,300 digits ``int`` converts from text
+HUGE_INT = "1" + "0" * 5000
+
 BAD_INPUTS = {
     "missing config": lambda tmp: ["run", "--config", str(tmp / "none.json"),
                                    "--query", DEMO_QUERY],
@@ -659,6 +662,21 @@ BAD_INPUTS = {
     "gold ids not strings": lambda tmp: _prune_with_gold(
         tmp, '{"entries": [{"query": "q", "gold_evidence_ids": [1]}]}'
     ),
+    "gold query not a string": lambda tmp: _prune_with_gold(
+        tmp, '{"entries": [{"query": 5, "gold_evidence_ids": ["doc-director"]}]}'
+    ),
+    "config integer of 5001 digits": lambda tmp: [
+        "config", "dump", "--config", _write(tmp / "c.json", '{"s_total": ' + HUGE_INT + "}"),
+    ],
+    "override integer of 5001 digits": lambda tmp: _run_with(tmp) + [
+        "--set", f"s_total={HUGE_INT}",
+    ],
+    "trajectory reward of 5001 digits": lambda tmp: [
+        "stats", "--trajectories", _write(
+            tmp / "t.jsonl", (GOLDEN / "demo_trajectory.jsonl").read_text(encoding="utf-8")
+            .replace('"reward":1,', f'"reward":{HUGE_INT},', 1),
+        ),
+    ],
     "corpus without header fields": lambda tmp: [
         "serve", "--corpus", _write(tmp / "c.json", json.dumps({
             key: value for key, value in corpus_record([]).items()
@@ -922,6 +940,11 @@ def _edit_budgets(lines: list[dict]) -> None:
     assignment["budgets"] = [[ordinal, str(budget)] for ordinal, budget in assignment["budgets"]]
 
 
+def _swap_budget_pairs(lines: list[dict]) -> None:
+    budgets = lines[-1]["assignment"]["budgets"]
+    budgets[0], budgets[1] = budgets[1], budgets[0]
+
+
 # name: (edit of the golden trajectory's parsed lines, the error it gives);
 # a fault in the meta line's graph is the graph's own error
 EDITED_TRAJECTORIES = {
@@ -934,6 +957,10 @@ EDITED_TRAJECTORIES = {
     "response 5": (lambda lines: lines[1].update(response=5), "CorruptSession"),
     "prompt_digest [1]": (lambda lines: lines[1].update(prompt_digest=[1]), "CorruptSession"),
     "string budgets": (_edit_budgets, "CorruptSession"),
+    "retained 7 without a budget": (
+        lambda lines: lines[-1]["assignment"].update(retained=[0, 1, 2, 7]), "CorruptSession"
+    ),
+    "budget pairs swapped": (_swap_budget_pairs, "CorruptSession"),
     "source_id 5": (
         lambda lines: lines[1]["observations"][0].update(source_id=5), "CorruptSession"
     ),

@@ -212,7 +212,11 @@ class TestReportExport:
         dumped = canonical_dumps(assignment.to_dict())
         assert '"step":2' in dumped
         assert BudgetAssignment.from_dict(json.loads(dumped)) == assignment
-        assignment = BudgetAssignment((1, 0), {0: 25, 1: 75}, 0, 2)
+        # the budgets name the retained ordinals in their order
+        with pytest.raises(ValueError, match="must name the retained ordinals"):
+            BudgetAssignment((1, 0), {0: 25, 1: 75}, 0, 2)
+        assignment = BudgetAssignment((1, 0), {1: 75, 0: 25}, 0, 2)
+        assert assignment.to_dict()["budgets"] == [[1, 75], [0, 25]]
         assert BudgetAssignment.from_dict(assignment.to_dict()) == assignment
 
 

@@ -159,6 +159,16 @@ class TestParse:
         with pytest.raises(MalformedPayload):
             parse_response("<tool_call>" + "[" * 30_000 + "</tool_call>")
 
+    def test_integer_past_the_int_digit_limit_is_malformed(self):
+        reply = (
+            '<tool_call>{"name":"summarize_and_memorize","arguments":'
+            '{"summarize":"s","memorize":[{"information_id":"Text 1",'
+            f'"is_useful":true,"key_timestamp":[],"priority_score":1{"0" * 5000}}}]}}}}'
+            "</tool_call>"
+        )
+        with pytest.raises(MalformedPayload, match="integer literal too long"):
+            parse_response(reply)
+
     def test_single_parent_id_string_coerced(self):
         reply = (
             '<tool_call>{"name":"add_answer_node","arguments":'

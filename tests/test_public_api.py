@@ -110,6 +110,37 @@ def test_json_type_rule_is_written_once():
         assert _type_rule_copies(ast.parse(form)) == [1], form
 
 
+def _hand_written_codecs(tree: ast.AST) -> list[str]:
+    """Classes that define ``to_dict`` or ``from_dict`` without naming
+    ``Record`` among their bases."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and not any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name in ("to_dict", "from_dict")
+            for item in node.body
+        )
+    ]
+
+
+def test_every_saved_record_is_a_record():
+    """A saved record's JSON form comes from ``canon.Record``'s codec; no
+    class writes or reads its fields by hand."""
+    found = {
+        module.name: names
+        for module in sorted(PACKAGE.glob("*.py"))
+        if module.name != "canon.py"
+        and (names := _hand_written_codecs(ast.parse(module.read_text(encoding="utf-8"))))
+    }
+    assert found == {}, f"classes with their own to_dict/from_dict (module: classes): {found}"
+    # the scan finds each form it looks for
+    for form in ("class A:\n def to_dict(self): pass", "class A(B):\n def from_dict(c): pass"):
+        assert _hand_written_codecs(ast.parse(form)) == ["A"], form
+    assert _hand_written_codecs(ast.parse("class A(Record):\n def to_dict(self): pass")) == []
+
+
 def test_tracer_finds_every_name_it_rebinds():
     """The benchmark's tracer rebinds names in the program's modules (for
     example ``canonical_dumps`` in each module that imports it, and

@@ -9,6 +9,7 @@ typed error.
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from graphmem.canon import canonical_dumps
 from graphmem.cli import main
 from graphmem.energy import BudgetAssignment, ItemModality, VisualItem
-from graphmem.graph import CorruptGraph, MemoryGraph, MemoryNode, NodeKind
+from graphmem.graph import CorruptGraph, GraphError, MemoryGraph, MemoryNode, NodeKind
 from graphmem.retrieval import BadManifest, CorpusItem, Modality, Observation, load_manifest
 from graphmem.runtime import CorruptSession, CycleRecord, Trajectory
 from graphmem.training import TrajectorySegment
@@ -51,8 +52,12 @@ def _manifest() -> dict:
 
 
 # name: (document, the record inside it, its reader, the reader's error,
-#        keys that may be missing, keys holding an enum)
+#        keys that may be missing, keys holding an enum); a graph without its
+#        schema key is a SchemaMismatch, the others' faults a CorruptGraph
 SAMPLES = {
+    "graph": (
+        _trajectory_lines, lambda doc: doc[0]["graph"], _load_graph, GraphError, set(), set(),
+    ),
     "search node": (
         _trajectory_lines, lambda doc: doc[0]["graph"]["nodes"][1], _load_graph, CorruptGraph,
         set(), {"kind"},
@@ -138,6 +143,21 @@ def test_value_of_wrong_json_type_is_typed_error(name, key, tmp_path):
 def test_count_below_zero_or_unknown_kind_is_typed_error(key, value, tmp_path):
     doc, load, error = _edited("cycle record", lambda record: record.update({key: value}))
     with pytest.raises(error, match=f"{key} must be "):
+        load(doc, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "budgets, message",
+    [([[0, 442, 1], [1, 347], [2, 209]], "budgets[] must hold 2 values, got 3"),
+     ([[0, 442], ["1", 347], [2, 209]], "budgets[][0] must be an integer, got '1'"),
+     ([[0, 442], [1, 347.0], [2, 209]], "budgets[][1] must be an integer, got 347.0"),
+     ([[0, 442], [0, 347], [2, 209]], "budgets names a key twice"),
+     ([[0, 442], [1, 347]], "budgets [0, 1] must name the retained ordinals [0, 1, 2] in order")],
+    ids=["three values", "string key", "float budget", "key twice", "ordinal missing"],
+)
+def test_budget_pairs_are_checked(budgets, message, tmp_path):
+    doc, load, error = _edited("assignment", lambda record: record.update(budgets=budgets))
+    with pytest.raises(error, match=re.escape(message)):
         load(doc, tmp_path)
 
 

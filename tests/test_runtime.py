@@ -139,6 +139,15 @@ class TestRunEpisode:
         assert trajectory.records[0].memorize_response == good
         assert trajectory.to_jsonl() == run_demo(toy_corpus).to_jsonl()
 
+    def test_memorize_reply_with_priority_of_5001_digits_is_retried(self, toy_corpus):
+        script = demo_script()
+        good = script[1]
+        assert '"priority_score":5' in good
+        script.insert(1, good.replace('"priority_score":5', f'"priority_score":5{"0" * 5000}', 1))
+        trajectory = run_demo(toy_corpus, script=script)
+        assert trajectory.records[0].memorize_response == good
+        assert trajectory.to_jsonl() == run_demo(toy_corpus).to_jsonl()
+
     def test_unknown_parent_becomes_policy_error(self, toy_corpus):
         script = [
             serialize_action(Retrieve("s", ("no-such-node",), "query"), "t"),
